@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: test test-short chaos chaos-gw chaos-membership bench bench-json fuzz fuzz-short build vet lint lint-fix-list lint-fixtures
+.PHONY: test test-short golden chaos chaos-gw chaos-membership bench bench-json fuzz fuzz-short build vet lint lint-fix-list lint-fixtures
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,15 @@ test:
 
 test-short:
 	./scripts/test.sh -short
+
+# Golden paper-output check: a small seeded qrec-experiments run (greedy,
+# beam, diverse-beam and sampling decoding on the transformer and ConvS2S)
+# must match testdata/golden_experiments.txt byte for byte. Refactors of
+# the inference path prove "same behaviour" with it. About 45 s on 2
+# CPUs, so it is not part of `make test`.
+golden:
+	$(GO) run ./cmd/qrec-experiments -exp table5,fig12,table6 -train-pairs 400 -eval-pairs 30 -epochs 2 \
+		| cmp - testdata/golden_experiments.txt
 
 # Overload/chaos suite in isolation: the serving stack at 4x saturation
 # with injected slow/failing/panicking model paths, under the race

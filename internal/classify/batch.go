@@ -8,25 +8,18 @@ import (
 )
 
 // PredictTopNBatch answers PredictTopN for a whole micro-batch in one
-// encoder forward and one head pass: srcs are encoded as a padded batch,
-// each segment is pooled exactly the way the sequential head pools
-// (ascending-row sum times 1/n, concatenated with the final-position
+// encoder forward and one head pass: srcs are encoded through
+// seq2seq.NewInferBatch, each segment is pooled exactly the way Logits
+// pools (ascending-row sum times 1/n, concatenated with the final-position
 // state), and the stacked pooled rows run through the MLP head as one
 // GEMM. ns[i] is the top-N for srcs[i]; out[i] lists template statements
-// most likely first, bit-identical to PredictTopN(srcs[i], ns[i]). Models
-// without a batched forward fall back to per-item PredictTopN.
+// most likely first, bit-identical to the top-N of Logits(srcs[i]).
 func (c *Classifier) PredictTopNBatch(srcs [][]int, ns []int) [][]string {
 	out := make([][]string, len(srcs))
 	if len(srcs) == 0 {
 		return out
 	}
 	ib := seq2seq.NewInferBatch(c.Enc, srcs)
-	if ib == nil {
-		for i, src := range srcs {
-			out[i] = c.PredictTopN(src, ns[i])
-		}
-		return out
-	}
 	defer ib.Close()
 
 	b := len(srcs)

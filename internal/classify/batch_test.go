@@ -5,12 +5,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/autograd"
 	"repro/internal/seq2seq"
 )
 
-func batchHeadModel(t *testing.T, postLN bool) *Classifier {
+func batchHeadModel(t *testing.T, arch seq2seq.Arch, postLN bool) *Classifier {
 	t.Helper()
-	cfg := seq2seq.DefaultConfig(seq2seq.Transformer, 31)
+	cfg := seq2seq.DefaultConfig(arch, 31)
 	cfg.DModel = 16
 	cfg.Heads = 2
 	cfg.Layers = 1
@@ -29,12 +30,16 @@ func batchHeadModel(t *testing.T, postLN bool) *Classifier {
 }
 
 // TestPredictTopNBatchBitIdentical checks the batched classification head
-// against the sequential PredictTopN over mixed batch compositions and
-// per-item N values (random untrained weights make near-ties likely, so
-// any drift in pooling or head arithmetic would reorder the top-N).
+// against the top-N of the autograd Logits over mixed batch compositions
+// and per-item N values (random untrained weights make near-ties likely,
+// so any drift in pooling or head arithmetic would reorder the top-N).
 func TestPredictTopNBatchBitIdentical(t *testing.T) {
-	for _, postLN := range []bool{false, true} {
-		c := batchHeadModel(t, postLN)
+	variants := []struct {
+		arch   seq2seq.Arch
+		postLN bool
+	}{{seq2seq.Transformer, false}, {seq2seq.Transformer, true}, {seq2seq.ConvS2S, false}, {seq2seq.GRU, false}}
+	for _, v := range variants {
+		c := batchHeadModel(t, v.arch, v.postLN)
 		rng := rand.New(rand.NewSource(3))
 		for _, batch := range []int{1, 2, 5} {
 			srcs := make([][]int, batch)
@@ -50,13 +55,18 @@ func TestPredictTopNBatchBitIdentical(t *testing.T) {
 			}
 			got := c.PredictTopNBatch(srcs, ns)
 			for i, src := range srcs {
-				want := c.PredictTopN(src, ns[i])
+				logits := c.Logits(src, false, nil)
+				var want []string
+				for _, id := range logits.T.TopKRow(0, ns[i]) {
+					want = append(want, c.Classes[id])
+				}
+				autograd.Free(logits)
 				if len(got[i]) != len(want) {
-					t.Fatalf("postLN=%v b=%d item %d: %d classes, want %d", postLN, batch, i, len(got[i]), len(want))
+					t.Fatalf("%v b=%d item %d: %d classes, want %d", v, batch, i, len(got[i]), len(want))
 				}
 				for j := range want {
 					if got[i][j] != want[j] {
-						t.Fatalf("postLN=%v b=%d item %d rank %d: %q, want %q", postLN, batch, i, j, got[i][j], want[j])
+						t.Fatalf("%v b=%d item %d rank %d: %q, want %q", v, batch, i, j, got[i][j], want[j])
 					}
 				}
 			}

@@ -105,16 +105,10 @@ func onesValue(n int) *autograd.Value {
 }
 
 // PredictTopN returns the N most likely template statements for the next
-// query, most likely first (paper Section 4.2.1).
+// query, most likely first (paper Section 4.2.1). It is a one-item
+// PredictTopNBatch.
 func (c *Classifier) PredictTopN(src []int, n int) []string {
-	logits := c.Logits(src, false, nil)
-	idx := logits.T.TopKRow(0, n)
-	out := make([]string, 0, len(idx))
-	for _, i := range idx {
-		out = append(out, c.Classes[i])
-	}
-	autograd.Free(logits)
-	return out
+	return c.PredictTopNBatch([][]int{src}, []int{n})[0]
 }
 
 // Params returns head parameters plus (unless frozen) encoder parameters.

@@ -5,20 +5,11 @@ import (
 	"repro/internal/sqlast"
 )
 
-// NextTemplatesTokensBatch answers NextTemplatesTokens-style template
-// prediction for a micro-batch of already-encoded sources: one batched
-// encoder forward plus one stacked head pass. out[i] is bit-identical to
-// Classifier.PredictTopN(srcs[i], ns[i]).
-func (r *Recommender) NextTemplatesTokensBatch(srcs [][]int, ns []int) [][]string {
-	return r.Classifier.PredictTopNBatch(srcs, ns)
-}
-
 // NFragmentsFromTokensBatch runs N-fragments prediction for a micro-batch
-// in one batched decode loop. Beam and diverse-beam items share the
-// batch; sampling items fall back to the sequential path (batching would
-// reorder the seeded RNG draws, breaking the strategy's determinism
-// contract). out[i] is bit-identical to
-// NFragmentsFromTokens(srcs[i], ns[i], opts[i]).
+// and aggregates each item's search tree. Beam and diverse-beam items
+// share one batched decode loop; sampling items each run decode.Sample,
+// which keeps one seeded RNG per item (interleaving items would reorder
+// its draws). out[i] does not depend on the batch's other items.
 func (r *Recommender) NFragmentsFromTokensBatch(srcs [][]int, ns []int, opts []NFragmentsOptions) []map[sqlast.FragmentKind][]string {
 	out := make([]map[sqlast.FragmentKind][]string, len(srcs))
 	var (
@@ -29,7 +20,8 @@ func (r *Recommender) NFragmentsFromTokensBatch(srcs [][]int, ns []int, opts []N
 	)
 	for i, o := range opts {
 		if o.Strategy == StrategySampling {
-			out[i] = r.NFragmentsFromTokens(srcs[i], ns[i], o)
+			results := decode.Sample(r.Model, srcs[i], r.MaxGenLen, o.Width, o.MinFrac, o.Seed)
+			out[i] = AggregateFragments(r.Vocab, results, ns[i])
 			continue
 		}
 		idx = append(idx, i)
@@ -41,11 +33,9 @@ func (r *Recommender) NFragmentsFromTokensBatch(srcs [][]int, ns []int, opts []N
 			penalties = append(penalties, 0)
 		}
 	}
-	if len(idx) > 0 {
-		results := decode.SearchBatch(r.Model, bsrcs, r.MaxGenLen, widths, penalties)
-		for k, i := range idx {
-			out[i] = AggregateFragments(r.Vocab, results[k], ns[i])
-		}
+	results := decode.SearchBatch(r.Model, bsrcs, r.MaxGenLen, widths, penalties)
+	for k, i := range idx {
+		out[i] = AggregateFragments(r.Vocab, results[k], ns[i])
 	}
 	return out
 }

@@ -361,17 +361,9 @@ func (r *Recommender) NextFragments(sql string, n int, opts NFragmentsOptions) (
 }
 
 // NFragmentsFromTokens runs the configured search strategy and aggregates.
+// It is a one-item NFragmentsFromTokensBatch.
 func (r *Recommender) NFragmentsFromTokens(src []int, n int, opts NFragmentsOptions) map[sqlast.FragmentKind][]string {
-	var results []decode.Result
-	switch opts.Strategy {
-	case StrategyDiverseBeam:
-		results = decode.DiverseBeam(r.Model, src, r.MaxGenLen, opts.Width, opts.Penalty)
-	case StrategySampling:
-		results = decode.Sample(r.Model, src, r.MaxGenLen, opts.Width, opts.MinFrac, opts.Seed)
-	default:
-		results = decode.Beam(r.Model, src, r.MaxGenLen, opts.Width)
-	}
-	return AggregateFragments(r.Vocab, results, n)
+	return r.NFragmentsFromTokensBatch([][]int{src}, []int{n}, []NFragmentsOptions{opts})[0]
 }
 
 // AggregateFragments implements the paper's search-tree probability

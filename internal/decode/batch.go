@@ -2,11 +2,10 @@
 // loop drives greedy or beam search for a whole micro-batch of requests.
 // Decoding is lockstep by construction — at step t every live beam of
 // every live request has a prefix of exactly t+1 tokens — so the decode
-// stacks need no padding; the per-request search logic (beamState) is the
-// same code the sequential path runs, fed the same bits (the batched
-// forward is bit-identical per row), so results match the sequential
-// functions exactly. Models without a batched forward (non-transformer,
-// post-LN) fall back to the sequential loops.
+// stacks need no padding. Greedy, Beam and DiverseBeam are one-item calls
+// into these drivers; seq2seq.NewInferBatch picks the forward (graph-free
+// kernels or the graph-backed driver), so nothing here branches on the
+// model, and each result is bit-identical to the autograd forward's.
 package decode
 
 import (
@@ -16,19 +15,10 @@ import (
 
 // GreedyBatch decodes every src with the argmax strategy, batching the
 // per-step decoder passes. Result i corresponds to srcs[i] and is
-// bit-identical to Greedy(m, srcs[i], maxLen).
+// independent of the batch's other items.
 func GreedyBatch(m seq2seq.Model, srcs [][]int, maxLen int) []Result {
 	results := make([]Result, len(srcs))
-	if len(srcs) == 0 {
-		return results
-	}
 	ib := seq2seq.NewInferBatch(m, srcs)
-	if ib == nil {
-		for i, src := range srcs {
-			results[i] = Greedy(m, src, maxLen)
-		}
-		return results
-	}
 	defer ib.Close()
 
 	live := make([]int, len(srcs)) // live[row] = request index
@@ -68,20 +58,11 @@ func GreedyBatch(m seq2seq.Model, srcs [][]int, maxLen int) []Result {
 
 // SearchBatch runs beam search (penalties[i] == 0) or diverse beam search
 // (penalties[i] > 0) for every src in one batched decode loop. widths and
-// penalties are per-request; results[i] is bit-identical to
-// Beam/DiverseBeam(m, srcs[i], maxLen, widths[i], penalties[i]).
+// penalties are per-request; results[i] ranks up to widths[i] hypotheses
+// for srcs[i], independent of the batch's other items.
 func SearchBatch(m seq2seq.Model, srcs [][]int, maxLen int, widths []int, penalties []float64) [][]Result {
 	results := make([][]Result, len(srcs))
-	if len(srcs) == 0 {
-		return results
-	}
 	ib := seq2seq.NewInferBatch(m, srcs)
-	if ib == nil {
-		for i, src := range srcs {
-			results[i] = beamSearch(m, src, maxLen, widths[i], penalties[i])
-		}
-		return results
-	}
 	defer ib.Close()
 
 	states := make([]*beamState, len(srcs))

@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/autograd"
 	"repro/internal/seq2seq"
 	"repro/internal/tensor"
 	"repro/internal/tokenizer"
@@ -33,57 +32,11 @@ func (r Result) Normalized() float64 {
 	return r.LogProb / float64(n)
 }
 
-// stepper owns the per-call decode state: the encoder output (shared by
-// every step) and reusable scratch for log-probabilities, the growing
-// prefix and top-k index selection. Each step's decoder graph is returned
-// to the shared pools immediately (keeping the encoder subgraph alive), so
-// the beam-search hot loop stops allocating once scratch has warmed up.
-// A stepper is single-goroutine state; concurrent decodes each build
-// their own.
-type stepper struct {
-	m      seq2seq.Model
-	enc    *autograd.Value
-	lp     []float64
-	prefix []int
-}
-
-func newStepper(m seq2seq.Model, src []int) *stepper {
-	return &stepper{m: m, enc: m.Encode(src, false, nil)}
-}
-
-// logProbs runs the decoder on the prefix and returns the log-softmax of
-// the next-token distribution. The returned slice is scratch, valid until
-// the next call. The prefix is not retained.
-func (s *stepper) logProbs(prefix []int) []float64 {
-	logits := s.m.DecodeLogits(s.enc, prefix, false, nil)
-	row := logits.T.Row(logits.T.Rows - 1)
-	s.lp = logSoftmaxInto(s.lp, row)
-	autograd.Free(logits, s.enc)
-	return s.lp
-}
-
-// close releases the encoder graph.
-func (s *stepper) close() { autograd.Free(s.enc) }
-
 // Greedy decodes with the argmax strategy until EOS or maxLen (paper:
-// fragment-set prediction uses greedy decoding).
+// fragment-set prediction uses greedy decoding). It is a one-item
+// GreedyBatch.
 func Greedy(m seq2seq.Model, src []int, maxLen int) Result {
-	st := newStepper(m, src)
-	defer st.close()
-	st.prefix = append(st.prefix[:0], tokenizer.BOS)
-	var res Result
-	for len(res.IDs) < maxLen {
-		lp := st.logProbs(st.prefix)
-		best, bestLP := argmaxSkipping(lp)
-		res.LogProb += bestLP
-		if best == tokenizer.EOS {
-			return res
-		}
-		res.IDs = append(res.IDs, best)
-		res.StepLogP = append(res.StepLogP, bestLP)
-		st.prefix = append(st.prefix, best)
-	}
-	return res
+	return GreedyBatch(m, [][]int{src}, maxLen)[0]
 }
 
 // argmaxSkipping returns the most likely token, never PAD/BOS/UNK (the
@@ -110,8 +63,9 @@ type beamHyp struct {
 
 // Beam runs standard beam search with the given width, returning up to
 // width finished hypotheses ranked by length-normalized log-probability.
+// It is a one-item SearchBatch.
 func Beam(m seq2seq.Model, src []int, maxLen, width int) []Result {
-	return beamSearch(m, src, maxLen, width, 0)
+	return SearchBatch(m, [][]int{src}, maxLen, []int{width}, []float64{0})[0]
 }
 
 // DiverseBeam runs beam search with a Hamming diversity penalty: at each
@@ -120,7 +74,7 @@ func Beam(m seq2seq.Model, src []int, maxLen, width int) []Result {
 // et al.; paper Section 4.2.2 "diverse beam search with the default
 // dissimilarity setting").
 func DiverseBeam(m seq2seq.Model, src []int, maxLen, width int, penalty float64) []Result {
-	return beamSearch(m, src, maxLen, width, penalty)
+	return SearchBatch(m, [][]int{src}, maxLen, []int{width}, []float64{penalty})[0]
 }
 
 type beamCand struct {
@@ -130,11 +84,10 @@ type beamCand struct {
 	total float64
 }
 
-// beamState is the search frontier of one request, shared verbatim by the
-// sequential and batched beam searches: candidate scoring, the diversity
-// penalty, candidate ranking and beam/done bookkeeping all live here, so
-// the two paths cannot drift apart — the batched driver only changes where
-// the per-beam log-probabilities come from.
+// beamState is the search frontier of one request inside SearchBatch:
+// candidate scoring, the diversity penalty, candidate ranking and
+// beam/done bookkeeping. The batch driver only supplies each beam's
+// next-token log-probabilities.
 type beamState struct {
 	width     int
 	diversity float64
@@ -230,36 +183,23 @@ func (bs *beamState) results() []Result {
 	return results
 }
 
-func beamSearch(m seq2seq.Model, src []int, maxLen, width int, diversity float64) []Result {
-	st := newStepper(m, src)
-	defer st.close()
-	bs := newBeamState(width, diversity)
-	for step := 0; step < maxLen && bs.alive(); step++ {
-		bs.stepStart()
-		for bi, b := range bs.beams {
-			st.prefix = append(st.prefix[:0], tokenizer.BOS)
-			st.prefix = append(st.prefix, b.ids...)
-			bs.observe(bi, st.logProbs(st.prefix))
-		}
-		bs.stepFinish()
-	}
-	return bs.results()
-}
-
 // Sample draws n independent sequences with stochastic decoding. At each
 // step, tokens whose probability is below minFrac times the maximum are
 // zeroed (paper: "we set the probability of the tokens with a low score to
 // zero") and the rest renormalized before sampling.
 func Sample(m seq2seq.Model, src []int, maxLen, n int, minFrac float64, seed int64) []Result {
-	st := newStepper(m, src)
-	defer st.close()
+	ib := seq2seq.NewInferBatch(m, [][]int{src})
+	defer ib.Close()
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]Result, 0, n)
+	prefix := [][]int{nil}
+	seg := []int{0}
+	var lp []float64
 	for s := 0; s < n; s++ {
-		st.prefix = append(st.prefix[:0], tokenizer.BOS)
+		prefix[0] = append(prefix[0][:0], tokenizer.BOS)
 		var res Result
 		for len(res.IDs) < maxLen {
-			lp := st.logProbs(st.prefix)
+			lp = logSoftmaxInto(lp, ib.DecodeLastLogits(prefix, seg).Row(0))
 			tok, tokLP := sampleStep(lp, minFrac, rng)
 			res.LogProb += tokLP
 			if tok == tokenizer.EOS {
@@ -267,7 +207,7 @@ func Sample(m seq2seq.Model, src []int, maxLen, n int, minFrac float64, seed int
 			}
 			res.IDs = append(res.IDs, tok)
 			res.StepLogP = append(res.StepLogP, tokLP)
-			st.prefix = append(st.prefix, tok)
+			prefix[0] = append(prefix[0], tok)
 		}
 		out = append(out, res)
 	}

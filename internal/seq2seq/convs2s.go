@@ -71,22 +71,16 @@ func (m *convS2SModel) DecodeLogits(enc *autograd.Value, tgtIn []int, train bool
 }
 
 func (m *convS2SModel) Params() []nn.Param {
-	var out []nn.Param
-	add := func(name string, mod nn.Module) {
-		for _, p := range mod.Params() {
-			out = append(out, nn.Param{Name: name + "." + p.Name, V: p.V})
-		}
-	}
-	add("src_emb", m.srcEmb)
-	add("tgt_emb", m.tgtEmb)
+	out := withPrefix(nil, "src_emb", m.srcEmb)
+	out = withPrefix(out, "tgt_emb", m.tgtEmb)
 	for i := range m.encConvs {
-		add(prefixN("enc_conv", i), m.encConvs[i])
+		out = withPrefix(out, prefixN("enc_conv", i), m.encConvs[i])
 	}
 	for i := range m.decConvs {
-		add(prefixN("dec_conv", i), m.decConvs[i])
-		add(prefixN("attn_proj", i), m.attnProj[i])
+		out = withPrefix(out, prefixN("dec_conv", i), m.decConvs[i])
+		out = withPrefix(out, prefixN("attn_proj", i), m.attnProj[i])
 	}
-	add("out", m.out)
+	out = withPrefix(out, "out", m.out)
 	return out
 }
 

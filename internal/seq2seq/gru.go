@@ -54,19 +54,12 @@ func (c *gruCell) step(x, h *autograd.Value) *autograd.Value {
 }
 
 func (c *gruCell) params(prefixStr string) []nn.Param {
-	var out []nn.Param
-	add := func(name string, l *nn.Linear) {
-		for _, p := range l.Params() {
-			out = append(out, nn.Param{Name: prefixStr + "." + name + "." + p.Name, V: p.V})
-		}
-	}
-	add("xz", c.xz)
-	add("xr", c.xr)
-	add("xh", c.xh)
-	add("hz", c.hz)
-	add("hr", c.hr)
-	add("hh", c.hh)
-	return out
+	out := withPrefix(nil, prefixStr+".xz", c.xz)
+	out = withPrefix(out, prefixStr+".xr", c.xr)
+	out = withPrefix(out, prefixStr+".xh", c.xh)
+	out = withPrefix(out, prefixStr+".hz", c.hz)
+	out = withPrefix(out, prefixStr+".hr", c.hr)
+	return withPrefix(out, prefixStr+".hh", c.hh)
 }
 
 func newGRU(cfg Config, rng *rand.Rand) *gruModel {
@@ -122,17 +115,11 @@ func rowOf(v *autograd.Value, i int) *autograd.Value {
 }
 
 func (m *gruModel) Params() []nn.Param {
-	var out []nn.Param
-	add := func(name string, mod nn.Module) {
-		for _, p := range mod.Params() {
-			out = append(out, nn.Param{Name: name + "." + p.Name, V: p.V})
-		}
-	}
-	add("src_emb", m.srcEmb)
-	add("tgt_emb", m.tgtEmb)
+	out := withPrefix(nil, "src_emb", m.srcEmb)
+	out = withPrefix(out, "tgt_emb", m.tgtEmb)
 	out = append(out, m.encCell.params("enc_cell")...)
 	out = append(out, m.decCell.params("dec_cell")...)
-	add("attn_out", m.attnOut)
-	add("out", m.out)
+	out = withPrefix(out, "attn_out", m.attnOut)
+	out = withPrefix(out, "out", m.out)
 	return out
 }

@@ -1,92 +1,134 @@
-// Inference-only batched forward pass for the transformer.
+// Inference-only forward pass: every decode and classification call, for
+// one request or a serving micro-batch, runs through an InferBatch.
 //
-// The serving micro-batcher stacks several requests' token sequences into
-// one padded matrix (stride L = max sequence length, valid rows tracked as
-// tensor.Spans) and runs a single encoder forward and a single decode-step
-// loop for the whole batch. Every kernel here mirrors the exact
-// floating-point operation order of the autograd forward pass in
-// transformer.go/nn.go/autograd.go — same per-element accumulation order,
-// same separate bias pass after the GEMM, same scale-then-mask-then-softmax
-// attention pipeline — so each request's outputs are bit-identical to what
-// the per-request path produces (decode_test.go and the servepool property
-// tests enforce this). Unlike the autograd path it builds no graph nodes
-// and allocates no gradient buffers, which is where most of the batched
-// speedup comes from on a single-core box.
-//
-// Only the pre-LN transformer implements this path; NewInferBatch returns
-// nil for other architectures (and for post-LN) and callers fall back to
-// the sequential code.
+// The pre-LN transformer runs graph-free span kernels: the batch's token
+// sequences are stacked into one padded matrix (stride L = max sequence
+// length, valid rows tracked as tensor.Spans). Every kernel mirrors the
+// exact floating-point operation order of the autograd forward in
+// transformer.go/nn.go/autograd.go — same accumulation order, same
+// separate bias pass after the GEMM, same scale-then-mask-then-softmax
+// attention — so each request's outputs are bit-identical to the autograd
+// forward, without its graph nodes and gradient buffers. Every other Model
+// (ConvS2S, GRU, post-LN, wrappers) gets graphBatch, the autograd forward
+// behind the same interface, so callers never branch on the model.
 package seq2seq
 
 import (
 	"fmt"
 	"math"
 
+	"repro/internal/autograd"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
-// InferBatch holds the encoder state of one padded batch: the stacked
-// encoder output, the per-sequence spans, and (lazily) the cross-attention
-// key/value projections reused by every decode step. Batch-lifetime
-// tensors live in a BatchScratch ledger released by Close. An InferBatch
-// is not safe for concurrent use.
-type InferBatch struct {
+// InferBatch holds the encoder state of one batch of sources and runs
+// lockstep decode steps against it. It is not safe for concurrent use.
+type InferBatch interface {
+	// EncSegment returns source i's len×d encoder output, valid until
+	// Close.
+	EncSegment(i int) *tensor.Tensor
+	// DecodeLastLogits runs one decode step over prefixes of one shared
+	// length and returns the last-position logits as a
+	// len(prefixes)×vocab tensor, reused by the next call. Prefix i
+	// attends over encoder segment segs[i], so beams of one request
+	// share its encoder state.
+	DecodeLastLogits(prefixes [][]int, segs []int) *tensor.Tensor
+	// Close releases every batch-lifetime tensor; a second Close is a
+	// no-op.
+	Close()
+}
+
+// NewInferBatch encodes srcs and returns the batch handle: the span
+// kernels for the pre-LN transformer, the graph-backed driver for every
+// other model. The caller must Close the returned batch.
+func NewInferBatch(m Model, srcs [][]int) InferBatch {
+	tm, ok := m.(*transformerModel)
+	if !ok || tm.cfg.PostLN || len(srcs) == 0 {
+		return newGraphBatch(m, srcs)
+	}
+	stride := 0
+	for _, s := range srcs {
+		stride = max(stride, len(s))
+	}
+	spans := make([]tensor.Span, len(srcs))
+	for i, s := range srcs {
+		spans[i] = tensor.Span{Lo: i * stride, Hi: i*stride + len(s)}
+	}
+	ib := &spanBatch{m: tm, sc: tensor.Batches.Get(), spans: spans}
+	ib.enc = ib.encode(srcs, stride)
+	return ib
+}
+
+// graphBatch drives the autograd forward: Encode once per source and
+// DecodeLogits once per prefix per step, keeping the last row and freeing
+// each step's graph at once (the encoder graphs live until Close).
+type graphBatch struct {
+	m      Model
+	encs   []*autograd.Value
+	logits *tensor.Tensor // last-step logits, reused between steps
+}
+
+func newGraphBatch(m Model, srcs [][]int) *graphBatch {
+	g := &graphBatch{m: m, encs: make([]*autograd.Value, len(srcs))}
+	for i, src := range srcs {
+		g.encs[i] = m.Encode(src, false, nil)
+	}
+	return g
+}
+
+func (g *graphBatch) EncSegment(i int) *tensor.Tensor { return g.encs[i].T }
+
+func (g *graphBatch) DecodeLastLogits(prefixes [][]int, segs []int) *tensor.Tensor {
+	if g.logits != nil {
+		tensor.Shared.Put(g.logits)
+	}
+	g.logits = tensor.Shared.Get(len(prefixes), g.m.Config().Vocab)
+	for i, p := range prefixes {
+		enc := g.encs[segs[i]]
+		out := g.m.DecodeLogits(enc, p, false, nil)
+		copy(g.logits.Row(i), out.T.Row(out.T.Rows-1))
+		autograd.Free(out, enc)
+	}
+	return g.logits
+}
+
+func (g *graphBatch) Close() {
+	for _, e := range g.encs {
+		autograd.Free(e)
+	}
+	g.encs = nil
+	if g.logits != nil {
+		tensor.Shared.Put(g.logits)
+		g.logits = nil
+	}
+}
+
+// spanBatch is the pre-LN transformer's graph-free InferBatch: the
+// stacked encoder output, its spans, and (lazily) the cross-attention K/V
+// reused by every decode step, all in a BatchScratch ledger.
+type spanBatch struct {
 	m     *transformerModel
 	sc    *tensor.BatchScratch
-	lens  []int
 	spans []tensor.Span
 	enc   *tensor.Tensor
 
 	// Cross-attention K/V per decoder block, projected from enc once on
-	// the first decode step (the sequential path recomputes them every
+	// the first decode step (the autograd path recomputes them every
 	// step; the projection is row-local so caching is bit-identical).
 	crossK, crossV []*tensor.Tensor
 
 	logits *tensor.Tensor // last-step logits, reused between steps
 }
 
-// NewInferBatch encodes srcs as one padded batch and returns the batch
-// handle, or nil when m has no batched path (non-transformer architectures
-// and the post-LN variant fall back to sequential inference). The caller
-// must Close the returned batch.
-func NewInferBatch(m Model, srcs [][]int) *InferBatch {
-	tm, ok := m.(*transformerModel)
-	if !ok || tm.cfg.PostLN || len(srcs) == 0 {
-		return nil
-	}
-	b := len(srcs)
-	lens := make([]int, b)
-	stride := 0
-	for i, s := range srcs {
-		lens[i] = len(s)
-		if len(s) > stride {
-			stride = len(s)
-		}
-	}
-	spans := make([]tensor.Span, b)
-	for i := range srcs {
-		spans[i] = tensor.Span{Lo: i * stride, Hi: i*stride + lens[i]}
-	}
-	ib := &InferBatch{m: tm, sc: tensor.Batches.Get(), lens: lens, spans: spans}
-	ib.enc = ib.encode(srcs, stride)
-	return ib
-}
-
-// Size returns the number of sequences in the batch.
-func (ib *InferBatch) Size() int { return len(ib.lens) }
-
-// EncSegment returns sequence i's encoder output as a lens[i]×d view into
-// the stacked batch. The view is valid until Close.
-func (ib *InferBatch) EncSegment(i int) *tensor.Tensor {
+// EncSegment returns a view into the stacked batch.
+func (ib *spanBatch) EncSegment(i int) *tensor.Tensor {
 	d := ib.enc.Cols
 	s := ib.spans[i]
 	return tensor.FromSlice(s.Len(), d, ib.enc.Data[s.Lo*d:s.Hi*d])
 }
 
-// Close releases every batch-lifetime tensor. The batch (and any views
-// obtained from it) must not be used afterward.
-func (ib *InferBatch) Close() {
+func (ib *spanBatch) Close() {
 	if ib.sc == nil {
 		return
 	}
@@ -101,7 +143,7 @@ func (ib *InferBatch) Close() {
 
 // encode runs the batched encoder forward, mirroring
 // transformerModel.Encode with train=false (dropout is the identity).
-func (ib *InferBatch) encode(srcs [][]int, stride int) *tensor.Tensor {
+func (ib *spanBatch) encode(srcs [][]int, stride int) *tensor.Tensor {
 	m := ib.m
 	d := m.cfg.DModel
 	tmp := tensor.Batches.Get()
@@ -122,13 +164,8 @@ func (ib *InferBatch) encode(srcs [][]int, stride int) *tensor.Tensor {
 	return enc
 }
 
-// DecodeLastLogits runs one batched decode step: prefixes (all the same
-// length — decoding is lockstep) are stacked, run through the decoder, and
-// the logits of each prefix's last position are returned as one
-// len(prefixes)×vocab tensor (row i for prefix i). segs[i] names the
-// encoder segment prefix i attends over, so several beams of one request
-// share its encoder state. The returned tensor is reused by the next call.
-func (ib *InferBatch) DecodeLastLogits(prefixes [][]int, segs []int) *tensor.Tensor {
+// DecodeLastLogits stacks the prefixes with a uniform T-row layout.
+func (ib *spanBatch) DecodeLastLogits(prefixes [][]int, segs []int) *tensor.Tensor {
 	m := ib.m
 	d := m.cfg.DModel
 	n := len(prefixes)
@@ -136,20 +173,21 @@ func (ib *InferBatch) DecodeLastLogits(prefixes [][]int, segs []int) *tensor.Ten
 		panic(fmt.Sprintf("seq2seq: decode batch %d prefixes / %d segs", n, len(segs)))
 	}
 	T := len(prefixes[0])
-	for _, p := range prefixes {
-		if len(p) != T {
-			panic("seq2seq: decode batch prefixes must share one length")
-		}
-	}
 	ib.ensureCrossKV()
 
 	tmp := tensor.Batches.Get()
 	defer tensor.Batches.Put(tmp)
 
-	// Uniform lockstep layout: item i owns rows [i*T, (i+1)*T), no pads.
+	// Uniform lockstep layout: item i owns rows [i*T, (i+1)*T), no pads,
+	// and cross-attends over its encoder segment's rows.
 	spans := make([]tensor.Span, n)
-	for i := range spans {
+	encSpans := make([]tensor.Span, n)
+	for i, seg := range segs {
+		if len(prefixes[i]) != T {
+			panic("seq2seq: decode batch prefixes must share one length")
+		}
 		spans[i] = tensor.Span{Lo: i * T, Hi: (i + 1) * T}
+		encSpans[i] = ib.spans[seg]
 	}
 	x := tmp.Get(n*T, d)
 	embedSegments(x, m.tgtEmb, m.pos, prefixes, spans)
@@ -162,14 +200,15 @@ func (ib *InferBatch) DecodeLastLogits(prefixes [][]int, segs []int) *tensor.Ten
 		nrm := layerNormSpans(tmp, blk.ln1, x, spans)
 		addSpans(x, attnSelf(tmp, blk.self, nrm, spans, mask), spans)
 		n2 := layerNormSpans(tmp, blk.ln2, x, spans)
-		addSpans(x, attnCross(tmp, blk.cross, n2, spans, segs, ib.spans, ib.crossK[bi], ib.crossV[bi]), spans)
+		q := linearSpans(tmp, blk.cross.Wq, n2, spans)
+		addSpans(x, attnCore(tmp, blk.cross, q, ib.crossK[bi], ib.crossV[bi], spans, encSpans, nil), spans)
 		n3 := layerNormSpans(tmp, blk.ln3, x, spans)
 		addSpans(x, feedForwardSpans(tmp, blk.ff, n3, spans), spans)
 	}
 
 	// Only each item's last position feeds the next-token distribution;
 	// decNorm and the output projection are row-local, so trimming to the
-	// last rows here is bit-identical to the sequential full-sequence
+	// last rows here is bit-identical to the autograd full-sequence
 	// pass and saves a vocab-width GEMM over the other T-1 rows.
 	last := tmp.Get(n, d)
 	for i := range spans {
@@ -189,7 +228,7 @@ func (ib *InferBatch) DecodeLastLogits(prefixes [][]int, segs []int) *tensor.Ten
 
 // ensureCrossKV projects the stacked encoder output through every decoder
 // block's cross-attention Wk/Wv once per batch.
-func (ib *InferBatch) ensureCrossKV() {
+func (ib *spanBatch) ensureCrossKV() {
 	if ib.crossK != nil {
 		return
 	}
@@ -205,7 +244,7 @@ func (ib *InferBatch) ensureCrossKV() {
 // embedSegments writes the scaled token embedding plus positional encoding
 // for each sequence into its span of x (positions restart at 0 per
 // segment). The fused per-element form w[id][j]*sqrt(d) + pos[p][j] is the
-// same two operations, in the same order, as the sequential
+// same two operations, in the same order, as the autograd
 // Scale(Embedding(...)) followed by AddTableRows.
 func embedSegments(x *tensor.Tensor, emb *nn.Embedding, pos *nn.PositionalEncoding, seqs [][]int, spans []tensor.Span) {
 	scale := math.Sqrt(float64(emb.D))
@@ -286,7 +325,7 @@ func addSpans(x, delta *tensor.Tensor, spans []tensor.Span) {
 }
 
 // feedForwardSpans mirrors nn.FeedForward.Forward: L1, GELU (in place —
-// elementwise, so the bits match the out-of-place sequential op), L2.
+// elementwise, so the bits match the out-of-place autograd op), L2.
 func feedForwardSpans(sc *tensor.BatchScratch, ff *nn.FeedForward, x *tensor.Tensor, spans []tensor.Span) *tensor.Tensor {
 	h := linearSpans(sc, ff.L1, x, spans)
 	const c = 0.7978845608028654 // sqrt(2/pi), as in autograd.GELU
@@ -306,46 +345,23 @@ func attnSelf(sc *tensor.BatchScratch, a *nn.MultiHeadAttention, x *tensor.Tenso
 	q := linearSpans(sc, a.Wq, x, spans)
 	k := linearSpans(sc, a.Wk, x, spans)
 	v := linearSpans(sc, a.Wv, x, spans)
-	pairs := make([]spanPair, len(spans))
-	for i, s := range spans {
-		pairs[i] = spanPair{q: s, kv: s}
-	}
-	return attnCore(sc, a, q, k, v, spans, pairs, mask)
+	return attnCore(sc, a, q, k, v, spans, spans, mask)
 }
 
-// attnCross runs multi-head cross-attention: queries from x's spans, keys
-// and values from the cached encoder projections, segment segs[i] for
-// query segment i (encSpans indexes K/V's stacked layout).
-func attnCross(sc *tensor.BatchScratch, a *nn.MultiHeadAttention, x *tensor.Tensor, spans []tensor.Span, segs []int, encSpans []tensor.Span, k, v *tensor.Tensor) *tensor.Tensor {
-	q := linearSpans(sc, a.Wq, x, spans)
-	pairs := make([]spanPair, len(spans))
-	for i, s := range spans {
-		pairs[i] = spanPair{q: s, kv: encSpans[segs[i]]}
-	}
-	return attnCore(sc, a, q, k, v, spans, pairs, nil)
-}
-
-// spanPair names one attention unit: query rows attend over key/value rows.
-type spanPair struct{ q, kv tensor.Span }
-
-// attnCore mirrors nn.MultiHeadAttention.Forward per segment: per head,
+// attnCore mirrors nn.MultiHeadAttention.Forward per segment — query rows
+// qSpans[i] attend over key/value rows kvSpans[i] — per head,
 // slice the head's columns, score q·kᵀ, scale, add the mask, softmax, and
 // apply to values; heads concatenate into the output projection. The
 // per-head column copies reproduce autograd.SliceCols; scale/mask run in
-// place on the scores (elementwise, bit-equal to the sequential
+// place on the scores (elementwise, bit-equal to the autograd
 // out-of-place ops); MatMulBTInto matches MatMul(q, Transpose(k)) because
 // both accumulate the dot product in ascending index order from 0.
-func attnCore(sc *tensor.BatchScratch, a *nn.MultiHeadAttention, q, k, v *tensor.Tensor, outSpans []tensor.Span, pairs []spanPair, mask *tensor.Tensor) *tensor.Tensor {
+func attnCore(sc *tensor.BatchScratch, a *nn.MultiHeadAttention, q, k, v *tensor.Tensor, qSpans, kvSpans []tensor.Span, mask *tensor.Tensor) *tensor.Tensor {
 	d := q.Cols
 	dk := a.Dk
 	maxQ, maxK := 0, 0
-	for _, p := range pairs {
-		if p.q.Len() > maxQ {
-			maxQ = p.q.Len()
-		}
-		if p.kv.Len() > maxK {
-			maxK = p.kv.Len()
-		}
+	for i, qs := range qSpans {
+		maxQ, maxK = max(maxQ, qs.Len()), max(maxK, kvSpans[i].Len())
 	}
 	concat := sc.Get(q.Rows, d)
 	qh := sc.Get(maxQ, dk)
@@ -357,17 +373,18 @@ func attnCore(sc *tensor.BatchScratch, a *nn.MultiHeadAttention, q, k, v *tensor
 
 	for h := 0; h < a.Heads; h++ {
 		lo := h * dk
-		for _, p := range pairs {
-			nq, nk := p.q.Len(), p.kv.Len()
+		for i, qspan := range qSpans {
+			kvspan := kvSpans[i]
+			nq, nk := qspan.Len(), kvspan.Len()
 			if nq == 0 || nk == 0 {
 				continue
 			}
 			qs := tensor.FromSlice(nq, dk, qh.Data[:nq*dk])
 			ks := tensor.FromSlice(nk, dk, kh.Data[:nk*dk])
 			vs := tensor.FromSlice(nk, dk, vh.Data[:nk*dk])
-			copyCols(qs, q, p.q, lo)
-			copyCols(ks, k, p.kv, lo)
-			copyCols(vs, v, p.kv, lo)
+			copyCols(qs, q, qspan, lo)
+			copyCols(ks, k, kvspan, lo)
+			copyCols(vs, v, kvspan, lo)
 
 			sm := tensor.FromSlice(nq, nk, score.Data[:nq*nk])
 			tensor.MatMulBTInto(sm, qs, ks, false)
@@ -387,17 +404,17 @@ func attnCore(sc *tensor.BatchScratch, a *nn.MultiHeadAttention, q, k, v *tensor
 			hs := tensor.FromSlice(nq, dk, hseg.Data[:nq*dk])
 			tensor.MatMulInto(hs, sm, vs, false)
 			for r := 0; r < nq; r++ {
-				copy(concat.Row(p.q.Lo+r)[lo:lo+dk], hs.Row(r))
+				copy(concat.Row(qspan.Lo + r)[lo:lo+dk], hs.Row(r))
 			}
 		}
 	}
-	return linearSpans(sc, a.Wo, concat, outSpans)
+	return linearSpans(sc, a.Wo, concat, qSpans)
 }
 
 // copyCols copies src's span rows, columns [lo, lo+dst.Cols), into dst.
 func copyCols(dst, src *tensor.Tensor, s tensor.Span, lo int) {
 	w := dst.Cols
 	for r := 0; r < dst.Rows; r++ {
-		copy(dst.Row(r), src.Row(s.Lo+r)[lo:lo+w])
+		copy(dst.Row(r), src.Row(s.Lo + r)[lo:lo+w])
 	}
 }

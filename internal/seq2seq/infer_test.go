@@ -58,9 +58,6 @@ func TestInferBatchEncodeBitIdentical(t *testing.T) {
 		for _, batch := range []int{1, 2, 5, 8} {
 			srcs := randSeqs(rng, batch, m.Config().Vocab, m.Config().MaxLen)
 			ib := NewInferBatch(m, srcs)
-			if ib == nil {
-				t.Fatal("NewInferBatch returned nil for pre-LN transformer")
-			}
 			for i, src := range srcs {
 				want := m.Encode(src, false, nil)
 				got := ib.EncSegment(i)
@@ -90,9 +87,6 @@ func TestInferBatchDecodeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	srcs := randSeqs(rng, 3, m.Config().Vocab, 12)
 	ib := NewInferBatch(m, srcs)
-	if ib == nil {
-		t.Fatal("NewInferBatch returned nil")
-	}
 	defer ib.Close()
 
 	// Sequential encoder states for the reference path.
@@ -137,13 +131,13 @@ func TestInferBatchDecodeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestInferBatchUnsupported asserts the fallbacks: post-LN transformers
-// and the recurrent/conv architectures return nil (callers then use the
-// sequential path), and empty batches return nil.
-func TestInferBatchUnsupported(t *testing.T) {
-	if ib := NewInferBatch(inferTestModel(t, true), [][]int{{1, 2}}); ib != nil {
-		t.Fatal("post-LN transformer should not have a batched path")
-	}
+// TestGraphBatchMatchesAutograd covers the models without span kernels
+// (post-LN transformer, GRU, ConvS2S): their InferBatch must reproduce
+// Encode and the last row of DecodeLogits exactly — shared encoder
+// segments included — and Close must return every pooled tensor the
+// batch took from tensor.Shared.
+func TestGraphBatchMatchesAutograd(t *testing.T) {
+	models := map[string]Model{"post-LN": inferTestModel(t, true)}
 	for _, arch := range []Arch{GRU, ConvS2S} {
 		cfg := DefaultConfig(arch, 37)
 		cfg.MaxLen = 16
@@ -151,12 +145,71 @@ func TestInferBatchUnsupported(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(%v): %v", arch, err)
 		}
-		if ib := NewInferBatch(m, [][]int{{1, 2}}); ib != nil {
-			t.Fatalf("%v should not have a batched path", arch)
-		}
+		models[string(arch)] = m
 	}
-	if ib := NewInferBatch(inferTestModel(t, false), nil); ib != nil {
-		t.Fatal("empty batch should return nil")
+	for name, m := range models {
+		rng := rand.New(rand.NewSource(8))
+		srcs := randSeqs(rng, 3, m.Config().Vocab, 10)
+		segs := []int{0, 0, 1, 2}
+		steps := make([][][]int, 4) // steps[T-1][i] = prefix i of length T
+		for T := range steps {
+			steps[T] = make([][]int, len(segs))
+			for i := range segs {
+				p := make([]int, T+1)
+				for j := range p {
+					p[j] = rng.Intn(m.Config().Vocab)
+				}
+				steps[T][i] = p
+			}
+		}
+
+		// Reference values from the autograd forward, copied out and
+		// freed before the pool counters are snapshotted.
+		wantEnc := make([][]float64, len(srcs))
+		wantLogits := make([][][]float64, len(steps))
+		for i, src := range srcs {
+			enc := m.Encode(src, false, nil)
+			wantEnc[i] = append([]float64(nil), enc.T.Data...)
+			autograd.Free(enc)
+		}
+		for T, prefixes := range steps {
+			for i, seg := range segs {
+				enc := m.Encode(srcs[seg], false, nil)
+				out := m.DecodeLogits(enc, prefixes[i], false, nil)
+				wantLogits[T] = append(wantLogits[T], append([]float64(nil), out.T.Row(out.T.Rows-1)...))
+				autograd.Free(out)
+			}
+		}
+
+		before := tensor.Shared.Stats()
+		ib := NewInferBatch(m, srcs)
+		for i := range srcs {
+			got := ib.EncSegment(i)
+			if len(got.Data) != len(wantEnc[i]) || got.Rows != len(srcs[i]) {
+				t.Fatalf("%s seg %d: %dx%d encoder output, want %d elements", name, i, got.Rows, got.Cols, len(wantEnc[i]))
+			}
+			for j, w := range wantEnc[i] {
+				if got.Data[j] != w {
+					t.Fatalf("%s seg %d: element %d = %v, want %v", name, i, j, got.Data[j], w)
+				}
+			}
+		}
+		for T, prefixes := range steps {
+			logits := ib.DecodeLastLogits(prefixes, segs)
+			for i, want := range wantLogits[T] {
+				for j, w := range want {
+					if g := logits.Row(i)[j]; g != w {
+						t.Fatalf("%s T=%d item %d: logit %d = %v, want %v", name, T+1, i, j, g, w)
+					}
+				}
+			}
+		}
+		ib.Close()
+		ib.Close()
+		after := tensor.Shared.Stats()
+		if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
+			t.Fatalf("%s: tensor.Shared unbalanced after Close: %d gets, %d puts", name, gets, puts)
+		}
 	}
 }
 
@@ -176,9 +229,10 @@ func TestInferBatchCloseReleases(t *testing.T) {
 }
 
 // BenchmarkBatchedEncode compares one batched encoder forward against B
-// sequential Encode calls on the same inputs — the kernel-level half of
-// the serving micro-batch win (no graph nodes, no grad buffers, shared
-// dispatch).
+// autograd Encode calls on the same inputs — the kernel-level half of the
+// serving micro-batch win (no graph nodes, no grad buffers, shared
+// dispatch). The batch sweep pins one source length so only B varies; the
+// length sweep holds B at 4.
 func BenchmarkBatchedEncode(b *testing.B) {
 	cfg := DefaultConfig(Transformer, 37)
 	cfg.MaxLen = 32
@@ -187,15 +241,21 @@ func BenchmarkBatchedEncode(b *testing.B) {
 		b.Fatalf("New: %v", err)
 	}
 	rng := rand.New(rand.NewSource(9))
-	for _, batch := range []int{2, 4, 8} {
-		srcs := randSeqs(rng, batch, cfg.Vocab, 16)
-		b.Run(fmt.Sprintf("batched%d", batch), func(b *testing.B) {
+	run := func(batch, length int) {
+		srcs := make([][]int, batch)
+		for i := range srcs {
+			srcs[i] = make([]int, length)
+			for j := range srcs[i] {
+				srcs[i][j] = rng.Intn(cfg.Vocab)
+			}
+		}
+		b.Run(fmt.Sprintf("b%d_len%d/batched", batch, length), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				NewInferBatch(m, srcs).Close()
 			}
 		})
-		b.Run(fmt.Sprintf("sequential%d", batch), func(b *testing.B) {
+		b.Run(fmt.Sprintf("b%d_len%d/autograd", batch, length), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, s := range srcs {
@@ -203,5 +263,11 @@ func BenchmarkBatchedEncode(b *testing.B) {
 				}
 			}
 		})
+	}
+	for _, batch := range []int{2, 4, 8} {
+		run(batch, 8)
+	}
+	for _, length := range []int{2, 16} {
+		run(4, length)
 	}
 }

@@ -120,6 +120,14 @@ func Replicate(m Model) (Model, error) {
 	return rep, nil
 }
 
+// withPrefix appends mod's parameters to out, each named name.param.
+func withPrefix(out []nn.Param, name string, mod nn.Module) []nn.Param {
+	for _, p := range mod.Params() {
+		out = append(out, nn.Param{Name: name + "." + p.Name, V: p.V})
+	}
+	return out
+}
+
 // CountParams sums the element counts of all trainable tensors (Table 3's
 // parameter counts).
 func CountParams(m nn.Module) int {

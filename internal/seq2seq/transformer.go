@@ -113,32 +113,26 @@ func (m *transformerModel) DecodeLogits(enc *autograd.Value, tgtIn []int, train 
 }
 
 func (m *transformerModel) Params() []nn.Param {
-	var out []nn.Param
-	add := func(name string, mod nn.Module) {
-		for _, p := range mod.Params() {
-			out = append(out, nn.Param{Name: name + "." + p.Name, V: p.V})
-		}
-	}
-	add("src_emb", m.srcEmb)
-	add("tgt_emb", m.tgtEmb)
+	out := withPrefix(nil, "src_emb", m.srcEmb)
+	out = withPrefix(out, "tgt_emb", m.tgtEmb)
 	for i, b := range m.encBlocks {
 		pre := prefixN("enc", i)
-		add(pre+".attn", b.attn)
-		add(pre+".ff", b.ff)
-		add(pre+".ln1", b.ln1)
-		add(pre+".ln2", b.ln2)
+		out = withPrefix(out, pre+".attn", b.attn)
+		out = withPrefix(out, pre+".ff", b.ff)
+		out = withPrefix(out, pre+".ln1", b.ln1)
+		out = withPrefix(out, pre+".ln2", b.ln2)
 	}
 	for i, b := range m.decBlocks {
 		pre := prefixN("dec", i)
-		add(pre+".self", b.self)
-		add(pre+".cross", b.cross)
-		add(pre+".ff", b.ff)
-		add(pre+".ln1", b.ln1)
-		add(pre+".ln2", b.ln2)
-		add(pre+".ln3", b.ln3)
+		out = withPrefix(out, pre+".self", b.self)
+		out = withPrefix(out, pre+".cross", b.cross)
+		out = withPrefix(out, pre+".ff", b.ff)
+		out = withPrefix(out, pre+".ln1", b.ln1)
+		out = withPrefix(out, pre+".ln2", b.ln2)
+		out = withPrefix(out, pre+".ln3", b.ln3)
 	}
-	add("enc_norm", m.encNorm)
-	add("dec_norm", m.decNorm)
-	add("out", m.out)
+	out = withPrefix(out, "enc_norm", m.encNorm)
+	out = withPrefix(out, "dec_norm", m.decNorm)
+	out = withPrefix(out, "out", m.out)
 	return out
 }

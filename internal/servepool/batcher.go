@@ -44,7 +44,7 @@ func (p recPredictor) TemplatesBatch(_ context.Context, qs []TemplateQuery) ([][
 		srcs[i] = core.EncodeContext(p.rec.Vocab, q.PrevToks, q.CurToks)
 		ns[i] = q.N
 	}
-	return p.rec.NextTemplatesTokensBatch(srcs, ns), nil
+	return p.rec.Classifier.PredictTopNBatch(srcs, ns), nil
 }
 
 // FragmentsBatch implements BatchPredictor on the default model path via

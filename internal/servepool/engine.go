@@ -344,15 +344,24 @@ func prepare(req Request) (prepared, error) {
 // otherwise from the degraded fallback; without a fallback it fails with
 // an error unwrapping to overload.ErrOverloaded.
 //
-// Errors: *BadQueryError when the SQL (or PrevSQL) does not parse,
-// overload rejections (errors.Is(err, overload.ErrOverloaded)) when shed
-// without a fallback, ctx.Err() on caller timeout/cancellation, ErrClosed
-// after Close, and predictor failures (including *PredictorPanicError)
-// when degraded mode is off.
+// Errors: *BadQueryError when the SQL (or PrevSQL) does not parse or the
+// encoder input is longer than the model's positional table, overload
+// rejections (errors.Is(err, overload.ErrOverloaded)) when shed without a
+// fallback, ctx.Err() on caller timeout/cancellation, ErrClosed after
+// Close, and predictor failures (including *PredictorPanicError) when
+// degraded mode is off.
 func (e *Engine) Recommend(ctx context.Context, req Request) (*Result, error) {
 	pr, err := prepare(req)
 	if err != nil {
 		return nil, err
+	}
+	// An over-long input would panic inside the model; as a model failure
+	// it would feed the breaker and degrade every client's answers, so it
+	// is the caller's bad query instead, rejected before admission.
+	if e.rec != nil {
+		if n, limit := len(core.EncodeContext(e.rec.Vocab, pr.prevToks, pr.curToks)), e.rec.Model.Config().MaxLen; n > limit {
+			return nil, &BadQueryError{Err: fmt.Errorf("query encodes to %d tokens; the model accepts at most %d", n, limit)}
+		}
 	}
 
 	if e.adm != nil {

@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/overload"
 	"repro/internal/reccache"
 	"repro/internal/seq2seq"
 	"repro/internal/synth"
+	"repro/internal/tokenizer"
 )
 
 var (
@@ -132,6 +135,53 @@ func TestRecommendBadQuery(t *testing.T) {
 	if _, err := eng.Recommend(context.Background(), req); !errors.As(err, &bad) {
 		t.Errorf("bad prev_sql: err = %v, want BadQueryError", err)
 	}
+}
+
+// TestRecommendRejectsOverlongQuery: a query whose encoder input exceeds
+// the model's positional table is the caller's error (422), not a model
+// failure — it must not reach the model, count as a failure, or feed the
+// breaker that guards every other client.
+func TestRecommendRejectsOverlongQuery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training in -short mode")
+	}
+	rec := engineRecommender(t)
+	eng := NewEngineWithOptions(rec, nil, EngineOptions{
+		Workers:  1,
+		Breaker:  overload.NewBreaker(overload.BreakerConfig{Window: 8, MinSamples: 1}),
+		Fallback: FallbackFromRecommender(rec, 3),
+	})
+	defer eng.Close()
+	sql := "SELECT ra" + strings.Repeat(", ra", 99) + " FROM PhotoObj"
+	if n := len(rec.Vocab.Encode(mustTokenize(t, sql), true)); n <= rec.Model.Config().MaxLen {
+		t.Fatalf("probe encodes to %d tokens, want more than MaxLen %d", n, rec.Model.Config().MaxLen)
+	}
+	for _, prev := range []string{"", "SELECT ra FROM PhotoObj"} {
+		req := testRequest(sql)
+		req.PrevSQL = prev
+		var bad *BadQueryError
+		if _, err := eng.Recommend(context.Background(), req); !errors.As(err, &bad) {
+			t.Fatalf("prev %q: err = %v, want BadQueryError", prev, err)
+		}
+	}
+	st := eng.OverloadStats()
+	if st.ModelFailures != 0 || st.Breaker.Samples != 0 || st.Degraded != 0 {
+		t.Fatalf("overlong query reached the model path: %+v", st)
+	}
+	// A normal query from another client still gets a full answer.
+	res, err := eng.Recommend(context.Background(), testRequest("SELECT ra FROM PhotoObj"))
+	if err != nil || res.Degraded {
+		t.Fatalf("normal query after overlong ones: res=%+v err=%v", res, err)
+	}
+}
+
+func mustTokenize(t *testing.T, sql string) []string {
+	t.Helper()
+	toks, err := tokenizer.Tokenize(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return toks
 }
 
 func TestRecommendCancelledContext(t *testing.T) {
