@@ -1,11 +1,12 @@
 // Batched decoding: one padded encoder forward plus one lockstep decode
 // loop drives greedy or beam search for a whole micro-batch of requests.
-// Decoding is lockstep by construction — at step t every live beam of
-// every live request has a prefix of exactly t+1 tokens — so the decode
-// stacks need no padding. Greedy, Beam and DiverseBeam are one-item calls
-// into these drivers; seq2seq.NewInferBatch picks the forward (graph-free
-// kernels or the graph-backed driver), so nothing here branches on the
-// model, and each result is bit-identical to the autograd forward's.
+// Each step hands the InferBatch one row per live beam — the index of the
+// beam's parent row in the previous step and the token it appends — so
+// the drivers never rebuild a prefix. Greedy, Beam and DiverseBeam are
+// one-item calls into these drivers; seq2seq.NewInferBatch picks the
+// forward (graph-free incremental kernels or the graph-backed driver), so
+// nothing here branches on the model, and each result is bit-identical to
+// the autograd forward's.
 package decode
 
 import (
@@ -21,23 +22,18 @@ func GreedyBatch(m seq2seq.Model, srcs [][]int, maxLen int) []Result {
 	ib := seq2seq.NewInferBatch(m, srcs)
 	defer ib.Close()
 
-	live := make([]int, len(srcs)) // live[row] = request index
-	prefixes := make([][]int, len(srcs))
+	// Step rows: live[row] is the request, parents[row] its row in the
+	// previous step (-1 on the first), toks[row] its newest token.
+	live := make([]int, len(srcs))
+	parents := make([]int, len(srcs))
+	toks := make([]int, len(srcs))
 	for i := range srcs {
-		live[i] = i
-		prefixes[i] = append([]int(nil), tokenizer.BOS)
+		live[i], parents[i], toks[i] = i, -1, tokenizer.BOS
 	}
-	segs := make([]int, 0, len(srcs))
-	prefs := make([][]int, 0, len(srcs))
 	var lp []float64
 	for step := 0; step < maxLen && len(live) > 0; step++ {
-		segs, prefs = segs[:0], prefs[:0]
-		for _, idx := range live {
-			segs = append(segs, idx)
-			prefs = append(prefs, prefixes[idx])
-		}
-		logits := ib.DecodeLastLogits(prefs, segs)
-		nextLive := live[:0]
+		logits := ib.Step(parents, toks, live)
+		next := 0
 		for row, idx := range live {
 			lp = logSoftmaxInto(lp, logits.Row(row))
 			best, bestLP := argmaxSkipping(lp)
@@ -48,10 +44,10 @@ func GreedyBatch(m seq2seq.Model, srcs [][]int, maxLen int) []Result {
 			}
 			res.IDs = append(res.IDs, best)
 			res.StepLogP = append(res.StepLogP, bestLP)
-			prefixes[idx] = append(prefixes[idx], best)
-			nextLive = append(nextLive, idx)
+			live[next], parents[next], toks[next] = idx, row, best
+			next++
 		}
-		live = nextLive
+		live, parents, toks = live[:next], parents[:next], toks[:next]
 	}
 	return results
 }
@@ -72,33 +68,36 @@ func SearchBatch(m seq2seq.Model, srcs [][]int, maxLen int, widths []int, penalt
 		live = append(live, i)
 	}
 	var (
-		segs  []int
-		prefs [][]int
-		rows  []int // rows[k] = beam index within its request, parallel to segs
-		lp    []float64
+		// Step rows, request-ascending then beam-ascending — the order
+		// observe() requires: segs[row] is the request, parents[row] the
+		// beam's row in the previous step, toks[row] its newest token.
+		segs, parents, toks []int
+		base                = make([]int, len(srcs)) // request's first row in the last step
+		lp                  []float64
 	)
 	for step := 0; step < maxLen && len(live) > 0; step++ {
-		// Stack every live beam of every live request, request-ascending
-		// then beam-ascending — the order observe() requires.
-		segs, prefs, rows = segs[:0], prefs[:0], rows[:0]
+		segs, parents, toks = segs[:0], parents[:0], toks[:0]
 		for _, idx := range live {
-			for bi, b := range states[idx].beams {
-				p := make([]int, 0, len(b.ids)+1)
-				p = append(p, tokenizer.BOS)
-				p = append(p, b.ids...)
-				prefs = append(prefs, p)
+			prev := base[idx]
+			base[idx] = len(segs)
+			for _, b := range states[idx].beams {
+				parent := -1
+				if b.from >= 0 {
+					parent = prev + b.from
+				}
 				segs = append(segs, idx)
-				rows = append(rows, bi)
+				parents = append(parents, parent)
+				toks = append(toks, b.tok)
 			}
 		}
-		logits := ib.DecodeLastLogits(prefs, segs)
+		logits := ib.Step(parents, toks, segs)
 		row := 0
 		for _, idx := range live {
 			st := states[idx]
 			st.stepStart()
-			for range st.beams {
+			for bi := range st.beams {
 				lp = logSoftmaxInto(lp, logits.Row(row))
-				st.observe(rows[row], lp)
+				st.observe(bi, lp)
 				row++
 			}
 			st.stepFinish()

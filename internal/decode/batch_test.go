@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/seq2seq"
+	"repro/internal/tokenizer"
 )
 
 // batchTestModel builds a small untrained (but deterministic) real
@@ -42,6 +43,18 @@ func randBatchSrcs(rng *rand.Rand, n, vocab, maxLen int) [][]int {
 		out[i] = s
 	}
 	return out
+}
+
+// srcsOfLength draws n payload-token sources of one length.
+func srcsOfLength(rng *rand.Rand, n, length, vocab int) [][]int {
+	srcs := make([][]int, n)
+	for i := range srcs {
+		srcs[i] = make([]int, length)
+		for j := range srcs[i] {
+			srcs[i][j] = 4 + rng.Intn(vocab-4)
+		}
+	}
+	return srcs
 }
 
 func assertResultsEqual(t *testing.T, what string, got, want []Result) {
@@ -177,13 +190,7 @@ func BenchmarkBatchedBeam(b *testing.B) {
 	m := batchTestModel(b, false)
 	rng := rand.New(rand.NewSource(29))
 	run := func(batch, length int) {
-		srcs := make([][]int, batch)
-		for i := range srcs {
-			srcs[i] = make([]int, length)
-			for j := range srcs[i] {
-				srcs[i][j] = 4 + rng.Intn(m.Config().Vocab-4)
-			}
-		}
+		srcs := srcsOfLength(rng, batch, length, m.Config().Vocab)
 		widths := make([]int, batch)
 		for i := range widths {
 			widths[i] = 3
@@ -209,5 +216,29 @@ func BenchmarkBatchedBeam(b *testing.B) {
 	}
 	for _, length := range []int{2, 16} {
 		run(4, length)
+	}
+
+	// Output-length sweep: one request whose EOS logit is pinned far
+	// down, so every beam runs all maxLen steps. With incremental
+	// decoding a step costs about the same at any prefix length, so
+	// ns/op over maxLen stays roughly flat as maxLen grows.
+	noEOS := batchTestModel(b, false)
+	pinned := false
+	for _, p := range noEOS.Params() {
+		if p.Name == "out.b" {
+			p.V.T.Data[tokenizer.EOS], pinned = -1e6, true
+		}
+	}
+	if !pinned {
+		b.Fatal("no output bias named out.b")
+	}
+	src := srcsOfLength(rng, 1, 8, m.Config().Vocab)
+	for _, maxLen := range []int{8, 24, 48} {
+		b.Run(fmt.Sprintf("b1_out%d", maxLen), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				SearchBatch(noEOS, src, maxLen, []int{3}, []float64{0})
+			}
+		})
 	}
 }

@@ -55,10 +55,17 @@ func argmaxSkipping(lp []float64) (int, float64) {
 	return best, bestV
 }
 
+// beamHyp is one open or finished hypothesis. An open beam also records
+// where its last step came from — from, the index of the beam it extends
+// in the previous step's beam set (-1 before the first step), and tok, the
+// token that step appended (BOS before the first) — which is exactly one
+// InferBatch.Step row.
 type beamHyp struct {
 	ids   []int
 	steps []float64
 	logp  float64
+	from  int
+	tok   int
 }
 
 // Beam runs standard beam search with the given width, returning up to
@@ -102,7 +109,7 @@ func newBeamState(width int, diversity float64) *beamState {
 	return &beamState{
 		width:     width,
 		diversity: diversity,
-		beams:     []beamHyp{{}},
+		beams:     []beamHyp{{from: -1, tok: tokenizer.BOS}},
 		cands:     make([]beamCand, 0, width*(width+3)),
 	}
 }
@@ -111,10 +118,16 @@ func newBeamState(width int, diversity float64) *beamState {
 // and fewer than width hypotheses have finished.
 func (bs *beamState) alive() bool { return len(bs.beams) > 0 && len(bs.done) < bs.width }
 
-// stepStart resets the per-step candidate pool and diversity counts.
+// stepStart resets the per-step candidate pool and, with a diversity
+// penalty, the per-step token counts.
 func (bs *beamState) stepStart() {
 	bs.cands = bs.cands[:0]
-	bs.chosen = map[int]int{}
+	if bs.diversity > 0 {
+		if bs.chosen == nil {
+			bs.chosen = map[int]int{}
+		}
+		clear(bs.chosen)
+	}
 }
 
 // observe scores beam bi's expansion candidates from its next-token
@@ -163,6 +176,8 @@ func (bs *beamState) stepFinish() {
 			ids:   append(append([]int(nil), b.ids...), c.tok),
 			steps: append(append([]float64(nil), b.steps...), c.logp),
 			logp:  b.logp + c.logp,
+			from:  c.from,
+			tok:   c.tok,
 		})
 	}
 	bs.beams = next
@@ -192,22 +207,24 @@ func Sample(m seq2seq.Model, src []int, maxLen, n int, minFrac float64, seed int
 	defer ib.Close()
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]Result, 0, n)
-	prefix := [][]int{nil}
-	seg := []int{0}
+	// One step row: parents[0] is -1 at each sample's first step (a
+	// fresh prefix) and 0 after, extending the previous step's only row.
+	parents, toks, segs := []int{-1}, []int{tokenizer.BOS}, []int{0}
+	probs := make([]float64, m.Config().Vocab)
 	var lp []float64
 	for s := 0; s < n; s++ {
-		prefix[0] = append(prefix[0][:0], tokenizer.BOS)
+		parents[0], toks[0] = -1, tokenizer.BOS
 		var res Result
 		for len(res.IDs) < maxLen {
-			lp = logSoftmaxInto(lp, ib.DecodeLastLogits(prefix, seg).Row(0))
-			tok, tokLP := sampleStep(lp, minFrac, rng)
+			lp = logSoftmaxInto(lp, ib.Step(parents, toks, segs).Row(0))
+			tok, tokLP := sampleStep(lp, minFrac, rng, probs)
 			res.LogProb += tokLP
 			if tok == tokenizer.EOS {
 				break
 			}
 			res.IDs = append(res.IDs, tok)
 			res.StepLogP = append(res.StepLogP, tokLP)
-			prefix[0] = append(prefix[0], tok)
+			parents[0], toks[0] = 0, tok
 		}
 		out = append(out, res)
 	}
@@ -215,7 +232,9 @@ func Sample(m seq2seq.Model, src []int, maxLen, n int, minFrac float64, seed int
 	return out
 }
 
-func sampleStep(lp []float64, minFrac float64, rng *rand.Rand) (int, float64) {
+// sampleStep draws one token from lp's truncated distribution, using
+// probs (len(lp) long, overwritten) as scratch.
+func sampleStep(lp []float64, minFrac float64, rng *rand.Rand, probs []float64) (int, float64) {
 	maxLP := math.Inf(-1)
 	for i, v := range lp {
 		if i == tokenizer.PAD || i == tokenizer.BOS || i == tokenizer.UNK {
@@ -227,7 +246,7 @@ func sampleStep(lp []float64, minFrac float64, rng *rand.Rand) (int, float64) {
 	}
 	cut := maxLP + math.Log(minFrac) // p >= minFrac * pmax
 	sum := 0.0
-	probs := make([]float64, len(lp))
+	clear(probs)
 	for i, v := range lp {
 		if i == tokenizer.PAD || i == tokenizer.BOS || i == tokenizer.UNK || v < cut {
 			continue
@@ -248,8 +267,7 @@ func sampleStep(lp []float64, minFrac float64, rng *rand.Rand) (int, float64) {
 		}
 	}
 	// Numerical fallback: the max token.
-	tok, tokLP := argmaxSkipping(lp)
-	return tok, tokLP
+	return argmaxSkipping(lp)
 }
 
 // logSoftmaxInto writes the log-softmax of row into dst (grown as needed)

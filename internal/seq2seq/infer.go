@@ -1,16 +1,26 @@
 // Inference-only forward pass: every decode and classification call, for
 // one request or a serving micro-batch, runs through an InferBatch.
 //
-// The pre-LN transformer runs graph-free span kernels: the batch's token
+// The pre-LN transformer runs graph-free span kernels: the batch's source
 // sequences are stacked into one padded matrix (stride L = max sequence
 // length, valid rows tracked as tensor.Spans). Every kernel mirrors the
 // exact floating-point operation order of the autograd forward in
 // transformer.go/nn.go/autograd.go — same accumulation order, same
-// separate bias pass after the GEMM, same scale-then-mask-then-softmax
-// attention — so each request's outputs are bit-identical to the autograd
-// forward, without its graph nodes and gradient buffers. Every other Model
-// (ConvS2S, GRU, post-LN, wrappers) gets graphBatch, the autograd forward
-// behind the same interface, so callers never branch on the model.
+// separate bias pass after the GEMM, same scale-then-softmax attention —
+// so each request's outputs are bit-identical to the autograd forward,
+// without its graph nodes and gradient buffers.
+//
+// Decoding is incremental: a Step extends rows of the previous step by
+// one token, and the span path runs only the new position of each row
+// through the decoder, attending over a cache of the self-attention keys
+// and values of every earlier position. That cache is exact, not an
+// approximation: in the full-prefix forward an earlier position's masked
+// scores underflow to exactly zero weight, so its hidden state is the one
+// it had when it was the newest position (the argument is spelled out at
+// selfKV and in DESIGN §12). Every other Model (ConvS2S, GRU, post-LN,
+// wrappers) gets graphBatch, the autograd forward behind the same
+// interface, which recomputes each row's whole prefix per step, so
+// callers never branch on the model.
 package seq2seq
 
 import (
@@ -28,12 +38,14 @@ type InferBatch interface {
 	// EncSegment returns source i's len×d encoder output, valid until
 	// Close.
 	EncSegment(i int) *tensor.Tensor
-	// DecodeLastLogits runs one decode step over prefixes of one shared
-	// length and returns the last-position logits as a
-	// len(prefixes)×vocab tensor, reused by the next call. Prefix i
-	// attends over encoder segment segs[i], so beams of one request
-	// share its encoder state.
-	DecodeLastLogits(prefixes [][]int, segs []int) *tensor.Tensor
+	// Step runs one decode step and returns the next-token logits as a
+	// len(toks)×vocab tensor, reused by the next call. Row i is the
+	// prefix of the previous step's row parents[i] (-1: the empty
+	// prefix) followed by toks[i]; it attends over encoder segment
+	// segs[i], so beams of one request share its encoder state. A row
+	// with a parent keeps the parent's segment. Several rows may share a
+	// parent, and a previous row no parent names is dropped.
+	Step(parents, toks, segs []int) *tensor.Tensor
 	// Close releases every batch-lifetime tensor; a second Close is a
 	// no-op.
 	Close()
@@ -61,12 +73,15 @@ func NewInferBatch(m Model, srcs [][]int) InferBatch {
 }
 
 // graphBatch drives the autograd forward: Encode once per source and
-// DecodeLogits once per prefix per step, keeping the last row and freeing
-// each step's graph at once (the encoder graphs live until Close).
+// DecodeLogits once per row per step over the row's whole prefix, keeping
+// the last row and freeing each step's graph at once (the encoder graphs
+// live until Close).
 type graphBatch struct {
-	m      Model
-	encs   []*autograd.Value
-	logits *tensor.Tensor // last-step logits, reused between steps
+	m        Model
+	encs     []*autograd.Value
+	prefixes [][]int        // the last step's rows
+	segs     []int          // the last step's segments
+	logits   *tensor.Tensor // last-step logits, reused between steps
 }
 
 func newGraphBatch(m Model, srcs [][]int) *graphBatch {
@@ -79,7 +94,17 @@ func newGraphBatch(m Model, srcs [][]int) *graphBatch {
 
 func (g *graphBatch) EncSegment(i int) *tensor.Tensor { return g.encs[i].T }
 
-func (g *graphBatch) DecodeLastLogits(prefixes [][]int, segs []int) *tensor.Tensor {
+func (g *graphBatch) Step(parents, toks, segs []int) *tensor.Tensor {
+	g.segs = checkStep(parents, toks, segs, g.segs)
+	prefixes := make([][]int, len(toks))
+	for i, p := range parents {
+		var pre []int
+		if p >= 0 {
+			pre = g.prefixes[p]
+		}
+		prefixes[i] = append(append(make([]int, 0, len(pre)+1), pre...), toks[i])
+	}
+	g.prefixes = prefixes
 	if g.logits != nil {
 		tensor.Shared.Put(g.logits)
 	}
@@ -97,16 +122,37 @@ func (g *graphBatch) Close() {
 	for _, e := range g.encs {
 		autograd.Free(e)
 	}
-	g.encs = nil
+	g.encs, g.prefixes, g.segs = nil, nil, nil
 	if g.logits != nil {
 		tensor.Shared.Put(g.logits)
 		g.logits = nil
 	}
 }
 
+// checkStep panics on a malformed Step call — mismatched lengths, an
+// empty step, a parent outside the previous step's rows, or a row that
+// leaves its parent's segment — and returns segs copied into prev's
+// storage, the segments the next call checks against.
+func checkStep(parents, toks, segs, prev []int) []int {
+	n := len(toks)
+	if n == 0 || len(parents) != n || len(segs) != n {
+		panic(fmt.Sprintf("seq2seq: decode step with %d parents / %d toks / %d segs", len(parents), n, len(segs)))
+	}
+	for i, p := range parents {
+		if p < -1 || p >= len(prev) {
+			panic(fmt.Sprintf("seq2seq: decode step parent %d outside the previous %d rows", p, len(prev)))
+		}
+		if p >= 0 && segs[i] != prev[p] {
+			panic(fmt.Sprintf("seq2seq: decode step row %d moves from segment %d to %d", i, prev[p], segs[i]))
+		}
+	}
+	return append(prev[:0], segs...)
+}
+
 // spanBatch is the pre-LN transformer's graph-free InferBatch: the
 // stacked encoder output, its spans, and (lazily) the cross-attention K/V
-// reused by every decode step, all in a BatchScratch ledger.
+// and the self-attention cache reused by every decode step, all in a
+// BatchScratch ledger.
 type spanBatch struct {
 	m     *transformerModel
 	sc    *tensor.BatchScratch
@@ -118,7 +164,37 @@ type spanBatch struct {
 	// step; the projection is row-local so caching is bit-identical).
 	crossK, crossV []*tensor.Tensor
 
+	self selfKV
+
+	// Per-step span lists, reused between steps: rows[i] is step row i,
+	// encSpans[i] its encoder segment.
+	rows, encSpans []tensor.Span
+
 	logits *tensor.Tensor // last-step logits, reused between steps
+}
+
+// selfKV is the decoder self-attention cache. For decoder block l, k[l]
+// and v[l] hold the projected key and value rows of every position of
+// every row of the last step; row i's positions are rows spans[i] of
+// those tensors, in position order. A step gathers each new row's parent
+// positions into the spare tensors, appends the new position's K/V row
+// and swaps the two sets, so beam reorder, shared parents and dropped
+// rows cost one copy of the live prefixes and nothing else.
+//
+// Why cached rows equal the full-prefix recompute, bit for bit: every op
+// of a decoder block is row-local except causal self-attention. In the
+// full forward the last position's mask row is all zeros, so its scores
+// are the cached-key scores. An earlier position r has -1e9 added to the
+// scores of positions after r; exp of those underflows to exactly 0, the
+// zeros come after r in the ascending softmax sum (adding +0 changes no
+// bit) and matMulRange skips them as exact-zero weights. So position r's
+// output at every layer is what it was on the step that appended r, by
+// induction over layers — which is what the cache holds.
+type selfKV struct {
+	k, v           []*tensor.Tensor
+	spareK, spareV []*tensor.Tensor
+	spans, spare   []tensor.Span
+	segs           []int // the last step's segments
 }
 
 // EncSegment returns a view into the stacked batch.
@@ -139,6 +215,7 @@ func (ib *spanBatch) Close() {
 	tensor.Batches.Put(ib.sc)
 	ib.sc = nil
 	ib.enc, ib.crossK, ib.crossV = nil, nil, nil
+	ib.self = selfKV{}
 }
 
 // encode runs the batched encoder forward, mirroring
@@ -153,7 +230,7 @@ func (ib *spanBatch) encode(srcs [][]int, stride int) *tensor.Tensor {
 	embedSegments(x, m.srcEmb, m.pos, srcs, ib.spans)
 	for _, blk := range m.encBlocks {
 		n := layerNormSpans(tmp, blk.ln1, x, ib.spans)
-		addSpans(x, attnSelf(tmp, blk.attn, n, ib.spans, nil), ib.spans)
+		addSpans(x, attnSelf(tmp, blk.attn, n, ib.spans), ib.spans)
 		n2 := layerNormSpans(tmp, blk.ln2, x, ib.spans)
 		addSpans(x, feedForwardSpans(tmp, blk.ff, n2, ib.spans), ib.spans)
 	}
@@ -164,66 +241,100 @@ func (ib *spanBatch) encode(srcs [][]int, stride int) *tensor.Tensor {
 	return enc
 }
 
-// DecodeLastLogits stacks the prefixes with a uniform T-row layout.
-func (ib *spanBatch) DecodeLastLogits(prefixes [][]int, segs []int) *tensor.Tensor {
+// Step runs only each row's new position through the decoder; earlier
+// positions enter through the self-attention cache.
+func (ib *spanBatch) Step(parents, toks, segs []int) *tensor.Tensor {
 	m := ib.m
 	d := m.cfg.DModel
-	n := len(prefixes)
-	if n == 0 || len(segs) != n {
-		panic(fmt.Sprintf("seq2seq: decode batch %d prefixes / %d segs", n, len(segs)))
-	}
-	T := len(prefixes[0])
+	n := len(toks)
+	c := &ib.self
+	c.segs = checkStep(parents, toks, segs, c.segs)
 	ib.ensureCrossKV()
 
 	tmp := tensor.Batches.Get()
 	defer tensor.Batches.Put(tmp)
 
-	// Uniform lockstep layout: item i owns rows [i*T, (i+1)*T), no pads,
-	// and cross-attends over its encoder segment's rows.
-	spans := make([]tensor.Span, n)
-	encSpans := make([]tensor.Span, n)
-	for i, seg := range segs {
-		if len(prefixes[i]) != T {
-			panic("seq2seq: decode batch prefixes must share one length")
+	// New cache layout: row i's positions are its parent's plus one, at
+	// consecutive cache rows.
+	c.spare = c.spare[:0]
+	ib.rows, ib.encSpans = ib.rows[:0], ib.encSpans[:0]
+	used := 0
+	for i, p := range parents {
+		l := 1
+		if p >= 0 {
+			l += c.spans[p].Len()
 		}
-		spans[i] = tensor.Span{Lo: i * T, Hi: (i + 1) * T}
-		encSpans[i] = ib.spans[seg]
+		c.spare = append(c.spare, tensor.Span{Lo: used, Hi: used + l})
+		used += l
+		ib.rows = append(ib.rows, tensor.Span{Lo: i, Hi: i + 1})
+		ib.encSpans = append(ib.encSpans, ib.spans[segs[i]])
 	}
-	x := tmp.Get(n*T, d)
-	embedSegments(x, m.tgtEmb, m.pos, prefixes, spans)
+	ib.growSelfKV(used)
 
-	// One causal mask serves every item: all segments are T×T.
-	mask := tmp.Get(T, T)
-	nn.FillCausalMask(mask)
-
-	for bi, blk := range m.decBlocks {
-		nrm := layerNormSpans(tmp, blk.ln1, x, spans)
-		addSpans(x, attnSelf(tmp, blk.self, nrm, spans, mask), spans)
-		n2 := layerNormSpans(tmp, blk.ln2, x, spans)
-		q := linearSpans(tmp, blk.cross.Wq, n2, spans)
-		addSpans(x, attnCore(tmp, blk.cross, q, ib.crossK[bi], ib.crossV[bi], spans, encSpans, nil), spans)
-		n3 := layerNormSpans(tmp, blk.ln3, x, spans)
-		addSpans(x, feedForwardSpans(tmp, blk.ff, n3, spans), spans)
-	}
-
-	// Only each item's last position feeds the next-token distribution;
-	// decNorm and the output projection are row-local, so trimming to the
-	// last rows here is bit-identical to the autograd full-sequence
-	// pass and saves a vocab-width GEMM over the other T-1 rows.
-	last := tmp.Get(n, d)
-	for i := range spans {
-		copy(last.Row(i), x.Row(spans[i].Hi-1))
+	x := tmp.Get(n, d)
+	table := m.pos.Table()
+	for i, tok := range toks {
+		embedToken(x.Row(i), m.tgtEmb, table, tok, c.spare[i].Len()-1)
 	}
 	full := []tensor.Span{{Lo: 0, Hi: n}}
-	lastN := layerNormSpans(tmp, m.decNorm, last, full)
+	for bi, blk := range m.decBlocks {
+		nrm := layerNormSpans(tmp, blk.ln1, x, full)
+		q := linearSpans(tmp, blk.self.Wq, nrm, full)
+		k := linearSpans(tmp, blk.self.Wk, nrm, full)
+		v := linearSpans(tmp, blk.self.Wv, nrm, full)
+		ck, cv := c.spareK[bi], c.spareV[bi]
+		for i, p := range parents {
+			s := c.spare[i]
+			if p >= 0 {
+				ps := c.spans[p]
+				copy(ck.Data[s.Lo*d:(s.Hi-1)*d], c.k[bi].Data[ps.Lo*d:ps.Hi*d])
+				copy(cv.Data[s.Lo*d:(s.Hi-1)*d], c.v[bi].Data[ps.Lo*d:ps.Hi*d])
+			}
+			copy(ck.Row(s.Hi-1), k.Row(i))
+			copy(cv.Row(s.Hi-1), v.Row(i))
+		}
+		addSpans(x, attnCore(tmp, blk.self, q, ck, cv, ib.rows, c.spare), full)
+		n2 := layerNormSpans(tmp, blk.ln2, x, full)
+		cq := linearSpans(tmp, blk.cross.Wq, n2, full)
+		addSpans(x, attnCore(tmp, blk.cross, cq, ib.crossK[bi], ib.crossV[bi], ib.rows, ib.encSpans), full)
+		n3 := layerNormSpans(tmp, blk.ln3, x, full)
+		addSpans(x, feedForwardSpans(tmp, blk.ff, n3, full), full)
+	}
+	c.k, c.spareK = c.spareK, c.k
+	c.v, c.spareV = c.spareV, c.v
+	c.spans, c.spare = c.spare, c.spans
 
+	// decNorm and the output projection are row-local; the autograd
+	// forward runs them over every position and the caller keeps the
+	// last, which is this row.
+	xn := layerNormSpans(tmp, m.decNorm, x, full)
 	if ib.logits != nil {
 		tensor.Shared.Put(ib.logits)
 	}
 	ib.logits = tensor.Shared.Get(n, m.cfg.Vocab)
-	tensor.MatMulSpansInto(ib.logits, lastN, m.out.W.T, full)
+	tensor.MatMulSpansInto(ib.logits, xn, m.out.W.T, full)
 	tensor.AddRowSpansInto(ib.logits, ib.logits, m.out.B.T, full)
 	return ib.logits
+}
+
+// growSelfKV makes the spare cache tensors hold at least rows rows,
+// doubling past the need so a growing prefix reallocates O(log) times.
+// Outgrown tensors stay in the batch ledger until Close.
+func (ib *spanBatch) growSelfKV(rows int) {
+	c := &ib.self
+	blocks := len(ib.m.decBlocks)
+	if c.spareK != nil && (blocks == 0 || c.spareK[0].Rows >= rows) {
+		return
+	}
+	if c.spareK == nil {
+		c.spareK = make([]*tensor.Tensor, blocks)
+		c.spareV = make([]*tensor.Tensor, blocks)
+	}
+	d := ib.m.cfg.DModel
+	for i := range c.spareK {
+		c.spareK[i] = ib.sc.Get(2*rows, d)
+		c.spareV[i] = ib.sc.Get(2*rows, d)
+	}
 }
 
 // ensureCrossKV projects the stacked encoder output through every decoder
@@ -247,21 +358,27 @@ func (ib *spanBatch) ensureCrossKV() {
 // same two operations, in the same order, as the autograd
 // Scale(Embedding(...)) followed by AddTableRows.
 func embedSegments(x *tensor.Tensor, emb *nn.Embedding, pos *nn.PositionalEncoding, seqs [][]int, spans []tensor.Span) {
-	scale := math.Sqrt(float64(emb.D))
 	table := pos.Table()
-	w := emb.W.T
 	for si, seq := range seqs {
 		if len(seq) > table.Rows {
 			panic(fmt.Sprintf("nn: sequence length %d exceeds positional table %d", len(seq), table.Rows))
 		}
 		for p, id := range seq {
-			wrow := w.Row(id)
-			trow := table.Row(p)
-			dst := x.Row(spans[si].Lo + p)
-			for j := range dst {
-				dst[j] = wrow[j]*scale + trow[j]
-			}
+			embedToken(x.Row(spans[si].Lo+p), emb, table, id, p)
 		}
+	}
+}
+
+// embedToken writes token id's embedding at position p into dst.
+func embedToken(dst []float64, emb *nn.Embedding, table *tensor.Tensor, id, p int) {
+	if p >= table.Rows {
+		panic(fmt.Sprintf("nn: sequence length %d exceeds positional table %d", p+1, table.Rows))
+	}
+	scale := math.Sqrt(float64(emb.D))
+	wrow := emb.W.T.Row(id)
+	trow := table.Row(p)
+	for j := range dst {
+		dst[j] = wrow[j]*scale + trow[j]
 	}
 }
 
@@ -338,25 +455,26 @@ func feedForwardSpans(sc *tensor.BatchScratch, ff *nn.FeedForward, x *tensor.Ten
 	return linearSpans(sc, ff.L2, h, spans)
 }
 
-// attnSelf runs multi-head self-attention per segment: queries, keys and
-// values all come from x's span. mask, when non-nil, is the shared
-// additive causal bias (every segment must then be mask.Rows long).
-func attnSelf(sc *tensor.BatchScratch, a *nn.MultiHeadAttention, x *tensor.Tensor, spans []tensor.Span, mask *tensor.Tensor) *tensor.Tensor {
+// attnSelf runs unmasked multi-head self-attention per segment (the
+// encoder's): queries, keys and values all come from x's span.
+func attnSelf(sc *tensor.BatchScratch, a *nn.MultiHeadAttention, x *tensor.Tensor, spans []tensor.Span) *tensor.Tensor {
 	q := linearSpans(sc, a.Wq, x, spans)
 	k := linearSpans(sc, a.Wk, x, spans)
 	v := linearSpans(sc, a.Wv, x, spans)
-	return attnCore(sc, a, q, k, v, spans, spans, mask)
+	return attnCore(sc, a, q, k, v, spans, spans)
 }
 
 // attnCore mirrors nn.MultiHeadAttention.Forward per segment — query rows
 // qSpans[i] attend over key/value rows kvSpans[i] — per head,
-// slice the head's columns, score q·kᵀ, scale, add the mask, softmax, and
-// apply to values; heads concatenate into the output projection. The
-// per-head column copies reproduce autograd.SliceCols; scale/mask run in
+// slice the head's columns, score q·kᵀ, scale, softmax, and apply to
+// values; heads concatenate into the output projection. No call needs a
+// mask: the encoder and cross-attention have none, and a decode step's
+// query is the newest position, whose causal mask row is all zeros. The
+// per-head column copies reproduce autograd.SliceCols; the scale runs in
 // place on the scores (elementwise, bit-equal to the autograd
-// out-of-place ops); MatMulBTInto matches MatMul(q, Transpose(k)) because
+// out-of-place op); MatMulBTInto matches MatMul(q, Transpose(k)) because
 // both accumulate the dot product in ascending index order from 0.
-func attnCore(sc *tensor.BatchScratch, a *nn.MultiHeadAttention, q, k, v *tensor.Tensor, qSpans, kvSpans []tensor.Span, mask *tensor.Tensor) *tensor.Tensor {
+func attnCore(sc *tensor.BatchScratch, a *nn.MultiHeadAttention, q, k, v *tensor.Tensor, qSpans, kvSpans []tensor.Span) *tensor.Tensor {
 	d := q.Cols
 	dk := a.Dk
 	maxQ, maxK := 0, 0
@@ -390,14 +508,6 @@ func attnCore(sc *tensor.BatchScratch, a *nn.MultiHeadAttention, q, k, v *tensor
 			tensor.MatMulBTInto(sm, qs, ks, false)
 			for i, x := range sm.Data {
 				sm.Data[i] = x * scale
-			}
-			if mask != nil {
-				if mask.Rows != nq || mask.Cols != nk {
-					panic(fmt.Sprintf("seq2seq: attention mask %dx%d for %dx%d scores", mask.Rows, mask.Cols, nq, nk))
-				}
-				for i, mv := range mask.Data {
-					sm.Data[i] += mv
-				}
 			}
 			tensor.SoftmaxRowsInto(sm, sm)
 

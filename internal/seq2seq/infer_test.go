@@ -78,10 +78,10 @@ func TestInferBatchEncodeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestInferBatchDecodeBitIdentical drives lockstep decode steps over
-// random prefixes — several items sharing encoder segments, as beams do —
-// and asserts each item's last-position logits match the sequential
-// DecodeLogits bit for bit.
+// TestInferBatchDecodeBitIdentical drives lockstep decode steps, each row
+// extending its own row of the previous step by a random token — several
+// rows sharing encoder segments, as beams do — and asserts each row's
+// logits match the last row of the sequential DecodeLogits bit for bit.
 func TestInferBatchDecodeBitIdentical(t *testing.T) {
 	m := inferTestModel(t, false)
 	rng := rand.New(rand.NewSource(6))
@@ -100,20 +100,21 @@ func TestInferBatchDecodeBitIdentical(t *testing.T) {
 		}
 	}()
 
+	// Mixed composition: item 0 twice (two beams of one request), then
+	// the others — exercising shared encoder segments.
+	segs := []int{0, 0, 1, 2}
+	parents := []int{-1, -1, -1, -1}
+	toks := make([]int, len(segs))
+	prefixes := make([][]int, len(segs))
 	for T := 1; T <= 6; T++ {
-		// Mixed composition: item 0 twice (two beams of one request), then
-		// the others — exercising shared encoder segments.
-		segs := []int{0, 0, 1, 2}
-		prefixes := make([][]int, len(segs))
-		for i, seg := range segs {
-			p := make([]int, T)
-			for j := range p {
-				p[j] = rng.Intn(m.Config().Vocab)
-			}
-			prefixes[i] = p
-			_ = seg
+		for i := range segs {
+			toks[i] = rng.Intn(m.Config().Vocab)
+			prefixes[i] = append(prefixes[i], toks[i])
 		}
-		logits := ib.DecodeLastLogits(prefixes, segs)
+		logits := ib.Step(parents, toks, segs)
+		for i := range parents {
+			parents[i] = i
+		}
 		if logits.Rows != len(segs) || logits.Cols != m.Config().Vocab {
 			t.Fatalf("T=%d: logits %dx%d, want %dx%d", T, logits.Rows, logits.Cols, len(segs), m.Config().Vocab)
 		}
@@ -151,15 +152,17 @@ func TestGraphBatchMatchesAutograd(t *testing.T) {
 		rng := rand.New(rand.NewSource(8))
 		srcs := randSeqs(rng, 3, m.Config().Vocab, 10)
 		segs := []int{0, 0, 1, 2}
-		steps := make([][][]int, 4) // steps[T-1][i] = prefix i of length T
+		// steps[T-1][i] = row i's prefix of length T, extending row i of
+		// the step before.
+		steps := make([][][]int, 4)
 		for T := range steps {
 			steps[T] = make([][]int, len(segs))
 			for i := range segs {
-				p := make([]int, T+1)
-				for j := range p {
-					p[j] = rng.Intn(m.Config().Vocab)
+				var prev []int
+				if T > 0 {
+					prev = steps[T-1][i]
 				}
-				steps[T][i] = p
+				steps[T][i] = append(append([]int(nil), prev...), rng.Intn(m.Config().Vocab))
 			}
 		}
 
@@ -194,8 +197,14 @@ func TestGraphBatchMatchesAutograd(t *testing.T) {
 				}
 			}
 		}
+		parents := []int{-1, -1, -1, -1}
+		toks := make([]int, len(segs))
 		for T, prefixes := range steps {
-			logits := ib.DecodeLastLogits(prefixes, segs)
+			for i, p := range prefixes {
+				toks[i] = p[T]
+			}
+			logits := ib.Step(parents, toks, segs)
+			parents = []int{0, 1, 2, 3}
 			for i, want := range wantLogits[T] {
 				for j, w := range want {
 					if g := logits.Row(i)[j]; g != w {
@@ -213,13 +222,146 @@ func TestGraphBatchMatchesAutograd(t *testing.T) {
 	}
 }
 
+// stepHistory is one random decode history: per step, the Step arguments
+// and each row's full prefix.
+type stepHistory struct {
+	parents, toks, segs [][]int
+	prefixes            [][][]int
+}
+
+// randStepHistory draws a history that exercises everything Step
+// promises: shared parents (beams forking), previous rows nobody extends
+// (beams dropped, requests retiring), parent -1 restarts beside
+// continuing rows, rows of different segments in one step, and one chain
+// that grows to maxLen before it restarts.
+func randStepHistory(rng *rand.Rand, nSegs, vocab, maxLen, steps int) stepHistory {
+	var h stepHistory
+	var prevPre [][]int
+	var prevSegs []int
+	for step := 0; step < steps; step++ {
+		n := 1 + rng.Intn(6)
+		parents, toks, segs := make([]int, n), make([]int, n), make([]int, n)
+		pre := make([][]int, n)
+		for i := range parents {
+			p := -1
+			switch {
+			case i == 0 && len(prevPre) > 0:
+				p = 0 // the long chain
+			case len(prevPre) > 0 && rng.Intn(6) != 0:
+				p = rng.Intn(len(prevPre))
+			}
+			if p >= 0 && len(prevPre[p]) == maxLen {
+				p = -1
+			}
+			seg := rng.Intn(nSegs)
+			var base []int
+			if p >= 0 {
+				seg, base = prevSegs[p], prevPre[p]
+			}
+			parents[i], toks[i], segs[i] = p, rng.Intn(vocab), seg
+			pre[i] = append(append([]int(nil), base...), toks[i])
+		}
+		h.parents = append(h.parents, parents)
+		h.toks = append(h.toks, toks)
+		h.segs = append(h.segs, segs)
+		h.prefixes = append(h.prefixes, pre)
+		prevPre, prevSegs = pre, segs
+	}
+	return h
+}
+
+// TestStepMatchesAutograd is the differential property test of
+// incremental decoding: over random beam histories (see randStepHistory)
+// on 1- and 2-layer, 1- and 2-head transformers, every row of every Step
+// must equal the last row of the autograd DecodeLogits over that row's
+// full prefix, ==-exact, on both the cached span path and the graph
+// path. Close must return every tensor the batch took from tensor.Shared
+// and every ledger it took from tensor.Batches.
+func TestStepMatchesAutograd(t *testing.T) {
+	const maxLen = 12
+	for _, layers := range []int{1, 2} {
+		for _, heads := range []int{1, 2} {
+			cfg := DefaultConfig(Transformer, 37)
+			cfg.DModel, cfg.Heads, cfg.Layers, cfg.FFHidden, cfg.MaxLen = 16, heads, layers, 24, maxLen
+			m, err := New(cfg, int64(10*layers+heads))
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			rng := rand.New(rand.NewSource(int64(layers*7 + heads)))
+			for trial := 0; trial < 3; trial++ {
+				srcs := randSeqs(rng, 3, cfg.Vocab, 10)
+				h := randStepHistory(rng, len(srcs), cfg.Vocab, maxLen, maxLen+6)
+
+				want := make([][][]float64, len(h.prefixes))
+				for step, pre := range h.prefixes {
+					for i, p := range pre {
+						enc := m.Encode(srcs[h.segs[step][i]], false, nil)
+						out := m.DecodeLogits(enc, p, false, nil)
+						want[step] = append(want[step], append([]float64(nil), out.T.Row(out.T.Rows-1)...))
+						autograd.Free(out)
+					}
+				}
+
+				for path, model := range map[string]Model{"span": m, "graph": struct{ Model }{m}} {
+					name := fmt.Sprintf("layers=%d heads=%d trial=%d %s", layers, heads, trial, path)
+					shared, batches := tensor.Shared.Stats(), tensor.Batches.Stats()
+					ib := NewInferBatch(model, srcs)
+					for step := range h.prefixes {
+						logits := ib.Step(h.parents[step], h.toks[step], h.segs[step])
+						for i, w := range want[step] {
+							for j, wv := range w {
+								if g := logits.Row(i)[j]; g != wv {
+									t.Fatalf("%s step %d row %d (parent %d, prefix len %d): logit %d = %v, want %v",
+										name, step, i, h.parents[step][i], len(h.prefixes[step][i]), j, g, wv)
+								}
+							}
+						}
+					}
+					ib.Close()
+					s2, b2 := tensor.Shared.Stats(), tensor.Batches.Stats()
+					if gets, puts := s2.Gets-shared.Gets, s2.Puts-shared.Puts; gets != puts {
+						t.Fatalf("%s: tensor.Shared unbalanced after Close: %d gets, %d puts", name, gets, puts)
+					}
+					if gets, puts := b2.Gets-batches.Gets, b2.Puts-batches.Puts; gets != puts {
+						t.Fatalf("%s: tensor.Batches unbalanced after Close: %d gets, %d puts", name, gets, puts)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStepRejectsMalformed pins Step's argument checks on both paths.
+func TestStepRejectsMalformed(t *testing.T) {
+	m := inferTestModel(t, false)
+	for path, model := range map[string]Model{"span": m, "graph": struct{ Model }{m}} {
+		for name, step := range map[string][3][]int{
+			"parent beyond the previous rows": {{0, 2}, {5, 6}, {0, 1}},
+			"row leaves its parent's segment": {{1}, {5}, {0}},
+			"length mismatch":                 {{0}, {5, 6}, {0, 1}},
+		} {
+			func() {
+				ib := NewInferBatch(model, [][]int{{1, 2}, {3}})
+				defer ib.Close()
+				ib.Step([]int{-1, -1}, []int{1, 2}, []int{0, 1})
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: %s did not panic", path, name)
+					}
+				}()
+				ib.Step(step[0], step[1], step[2])
+			}()
+		}
+	}
+}
+
 // TestInferBatchCloseReleases asserts Close returns the ledger (double
 // close and post-close Close are safe no-ops).
 func TestInferBatchCloseReleases(t *testing.T) {
 	m := inferTestModel(t, false)
 	before := tensor.Batches.Stats()
 	ib := NewInferBatch(m, [][]int{{1, 2, 3}, {4}})
-	_ = ib.DecodeLastLogits([][]int{{1}, {2}}, []int{0, 1})
+	_ = ib.Step([]int{-1, -1}, []int{1, 2}, []int{0, 1})
 	ib.Close()
 	ib.Close()
 	after := tensor.Batches.Stats()

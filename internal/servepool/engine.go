@@ -640,21 +640,49 @@ type BatchItem struct {
 // explicit batches and coalesced traffic share one model path, and an
 // item whose context dies while its batch is forming is dropped at flush
 // without touching its siblings.
+//
+// Without micro-batching each item queues its two halves as two pool
+// tasks, so a batch started all at once would fill the queue that
+// admission reads and shed its own later items. The batch therefore keeps
+// at most batchWidth items in flight; the rest wait for a sibling to
+// finish, their soft budget not yet running.
 func (e *Engine) RecommendBatch(ctx context.Context, reqs []Request) []BatchItem {
 	out := make([]BatchItem, len(reqs))
 	done := make(chan int, len(reqs))
+	slots := make(chan struct{}, e.batchWidth(len(reqs)))
 	for i := range reqs {
 		// One lightweight coordinator per request; the heavy inference
 		// inside Recommend is what the pool bounds. Coordinators never
 		// run on pool workers, so a full pool cannot deadlock itself.
 		go func(i int) {
+			defer func() { done <- i }()
+			select {
+			case slots <- struct{}{}:
+				defer func() { <-slots }()
+			case <-ctx.Done():
+				// The caller is gone: stop waiting, and let Recommend
+				// report the cancellation as it does for any item.
+			}
 			r, err := e.Recommend(ctx, reqs[i])
 			out[i] = BatchItem{Result: r, Err: err}
-			done <- i
 		}(i)
 	}
 	for range reqs {
 		<-done
 	}
 	return out
+}
+
+// batchWidth bounds how many of an n-item RecommendBatch run at once.
+// Unbatched, it is half the smaller of the pool's workers and queue,
+// rounded up: when an item passes admission its in-flight siblings hold
+// at most 2(width-1) < min(workers, queue) pool tasks, so even if none of
+// them has reached a worker yet they cannot fill the queue. Batched
+// items share flushed pool tasks and coalesce better together, so they
+// are not bounded.
+func (e *Engine) batchWidth(n int) int {
+	if e.batT != nil {
+		return max(n, 1)
+	}
+	return (min(e.pool.Workers(), e.pool.QueueCap()) + 1) / 2
 }

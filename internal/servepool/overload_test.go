@@ -3,6 +3,7 @@ package servepool
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -526,5 +527,55 @@ func TestRecommendBatchSiblingCancellation(t *testing.T) {
 	}
 	if !errors.Is(items[1].Err, context.DeadlineExceeded) {
 		t.Errorf("item 1 err = %v, want DeadlineExceeded", items[1].Err)
+	}
+}
+
+// slowPredictor answers like fakePredictor after a fixed delay, long
+// enough that a batch's pool tasks are still queued when its later items
+// pass admission.
+type slowPredictor struct {
+	fakePredictor
+	delay time.Duration
+}
+
+func (p *slowPredictor) Templates(ctx context.Context, prevToks, curToks []string, n int) ([]string, error) {
+	time.Sleep(p.delay)
+	return p.fakePredictor.Templates(ctx, prevToks, curToks, n)
+}
+
+func (p *slowPredictor) Fragments(ctx context.Context, curToks []string, n int, opts core.NFragmentsOptions) (map[sqlast.FragmentKind][]string, error) {
+	time.Sleep(p.delay)
+	return p.fakePredictor.Fragments(ctx, curToks, n, opts)
+}
+
+// TestRecommendBatchDoesNotShedItself: an idle engine configured the way
+// qrec-serve derives its defaults (queue = workers, admission cap
+// 2 × (workers + queue), breaker and fallback on) must answer every item
+// of an 8-item batch from the model. A batch that starts all its items at
+// once fills the queue admission reads, and its later items shed to the
+// fallback.
+func TestRecommendBatchDoesNotShedItself(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		adm := overload.NewAdmission(overload.AdmissionConfig{MaxInFlight: 2 * (workers + workers)})
+		eng := fakeEngine(t, EngineOptions{
+			Workers:     workers,
+			Predictor:   &slowPredictor{delay: 3 * time.Millisecond},
+			Admission:   adm,
+			Breaker:     overload.NewBreaker(overload.BreakerConfig{FailureRatio: 0.5}),
+			Fallback:    testFallback(),
+			SoftTimeout: 5 * time.Second,
+		})
+		reqs := make([]Request, 8)
+		for i := range reqs {
+			reqs[i] = testRequest(fmt.Sprintf("SELECT c%d FROM t", i))
+		}
+		for i, it := range eng.RecommendBatch(context.Background(), reqs) {
+			if it.Err != nil || it.Result == nil || it.Result.Degraded {
+				t.Errorf("workers=%d item %d = %+v (err %v), want a model answer", workers, i, it.Result, it.Err)
+			}
+		}
+		if st := adm.Stats(); st.ShedLoad+st.ShedQueue != 0 {
+			t.Errorf("workers=%d: the batch shed %d of its own items: %+v", workers, st.ShedLoad+st.ShedQueue, st)
+		}
 	}
 }
