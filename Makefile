@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: test test-short golden chaos chaos-gw chaos-membership bench bench-json fuzz fuzz-short build vet lint lint-fix-list lint-fixtures
+.PHONY: test test-short loc golden chaos chaos-gw chaos-membership bench bench-json fuzz fuzz-short build vet lint lint-fix-list lint-fixtures
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,15 @@ test:
 
 test-short:
 	./scripts/test.sh -short
+
+# Non-test Go lines per package of the root module, then the total.
+# `go list ./...` stays inside the module, so testdata/ and the nested
+# perfbench module are not counted.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+		while read -r pkg files; do \
+			[ -n "$$files" ] && printf '%7d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
+		done | awk '{ print; total += $$1 } END { printf "%7d  total\n", total }'
 
 # Golden paper-output check: a small seeded qrec-experiments run (greedy,
 # beam, diverse-beam and sampling decoding on the transformer and ConvS2S)

@@ -59,7 +59,7 @@ func main() {
 	softTimeout := flag.Duration("soft-timeout", 5*time.Second,
 		"per-request model budget before degrading to the popular fallback (0 disables)")
 	batchSize := flag.Int("batch-size", 0,
-		"micro-batch cap: coalesce up to this many concurrent requests per model pass, bit-identical results (0 disables)")
+		"micro-batch cap: coalesce up to this many concurrent requests per model pass, bit-identical results (0 or 1 = no coalescing wait)")
 	batchWindow := flag.Duration("batch-window", 0,
 		"how long the first request of a forming micro-batch waits for company (0 = 500µs default)")
 	rate := flag.Float64("rate", 0, "per-client request rate limit in req/s (0 disables)")

@@ -1,39 +1,24 @@
 package lint
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-)
+import "go/ast"
 
-// AtomicMix flags variables and struct fields that are accessed through
-// sync/atomic in one place and by plain load/store in another. Mixing
-// the two silently forfeits every guarantee the atomic side paid for:
-// the plain access races with the atomic one, and the race detector
-// only catches it when both sides actually collide under test. A word
-// is either always atomic or always lock-protected — never both.
-//
-// Detection is package-wide: pass 1 collects every object whose address
-// is taken as the argument of a sync/atomic call (atomic.AddInt64(&s.n,
-// 1), atomic.LoadUint32(&flag), ...); pass 2 reports every other
-// mention of those objects that is not itself an atomic-call argument.
-// Typed atomics (atomic.Int64 and friends) cannot be accessed plainly
-// and need no checking.
+// AtomicMix bans the sync/atomic package-level functions
+// (atomic.AddInt64(&s.n, 1), atomic.LoadUint32(&flag), ...). The word
+// they are handed is an ordinary variable, so nothing stops another
+// function from reading or writing it plainly, and that plain access
+// races with the atomic side — the race detector only catches it when
+// both sides collide under test. Typed atomics (atomic.Int64 and
+// friends) cannot be accessed plainly, so requiring them keeps every
+// atomic word atomic everywhere.
 func AtomicMix() *Analyzer {
 	return &Analyzer{
 		Name: "atomicmix",
-		Doc:  "a word accessed via sync/atomic anywhere must be accessed via sync/atomic everywhere",
+		Doc:  "no sync/atomic function calls: use typed atomics, which cannot be accessed plainly",
 		Run:  runAtomicMix,
 	}
 }
 
 func runAtomicMix(p *Pass) {
-	info := p.Pkg.Info
-
-	// Pass 1: objects used atomically, with one representative position.
-	atomicAt := map[types.Object]token.Position{}
-	// Mentions inside atomic call arguments are exempt in pass 2.
-	exempt := map[*ast.Ident]bool{}
 	for _, f := range p.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -41,87 +26,10 @@ func runAtomicMix(p *Pass) {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || importedPackage(info, sel.X) != "sync/atomic" {
-				return true
-			}
-			for _, arg := range call.Args {
-				un, ok := arg.(*ast.UnaryExpr)
-				if !ok || un.Op != token.AND {
-					continue
-				}
-				obj := addressedObject(info, un.X)
-				if obj == nil {
-					continue
-				}
-				if _, seen := atomicAt[obj]; !seen {
-					atomicAt[obj] = p.Pkg.Fset.Position(call.Pos())
-				}
-				ast.Inspect(un.X, func(m ast.Node) bool {
-					if id, ok := m.(*ast.Ident); ok {
-						exempt[id] = true
-					}
-					return true
-				})
+			if ok && importedPackage(p.Pkg.Info, sel.X) == "sync/atomic" {
+				p.Reportf(call.Pos(), "atomic.%s on a plain word: use a typed atomic (atomic.Int64 & co.), which cannot also be accessed plainly", sel.Sel.Name)
 			}
 			return true
 		})
 	}
-	if len(atomicAt) == 0 {
-		return
-	}
-
-	// Pass 2: every other mention of an atomically-accessed object.
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok || exempt[id] {
-				return true
-			}
-			obj := info.ObjectOf(id)
-			if obj == nil {
-				return true
-			}
-			at, ok := atomicAt[obj]
-			if !ok || obj.Pos() == id.Pos() {
-				return true // not tracked, or this is the declaration itself
-			}
-			p.Reportf(id.Pos(), "%s is accessed atomically at %s:%d but plainly here: mixed access races with the atomic side", id.Name, shortPath(at.Filename), at.Line)
-			return true
-		})
-	}
-}
-
-// addressedObject resolves &expr to the variable or field object whose
-// address is taken: the field for x.f, the variable for plain idents.
-func addressedObject(info *types.Info, expr ast.Expr) types.Object {
-	switch e := expr.(type) {
-	case *ast.Ident:
-		if v, ok := info.ObjectOf(e).(*types.Var); ok {
-			return v
-		}
-	case *ast.SelectorExpr:
-		if v, ok := info.ObjectOf(e.Sel).(*types.Var); ok {
-			return v
-		}
-	case *ast.ParenExpr:
-		return addressedObject(info, e.X)
-	case *ast.IndexExpr:
-		return addressedObject(info, e.X)
-	}
-	return nil
-}
-
-// shortPath trims a filename to its last two path segments for compact
-// diagnostics.
-func shortPath(path string) string {
-	slashes := 0
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			slashes++
-			if slashes == 2 {
-				return path[i+1:]
-			}
-		}
-	}
-	return path
 }

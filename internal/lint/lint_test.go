@@ -211,7 +211,7 @@ func TestAtomicMixFixture(t *testing.T) {
 		t.Fatalf("fixture must demonstrate >= 2 true positives, got %d", len(res.Diags))
 	}
 	if res.Suppressed != 1 {
-		t.Errorf("Suppressed = %d, want 1 (the documented constructor write)", res.Suppressed)
+		t.Errorf("Suppressed = %d, want 1 (the documented legacy store)", res.Suppressed)
 	}
 }
 

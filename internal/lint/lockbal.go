@@ -14,10 +14,10 @@ import (
 //     (RUnlock) or have a deferred unlock armed before returning;
 //   - no path may Unlock a mutex it does not hold (double unlock), or
 //     Lock one it may already hold (self-deadlock);
-//   - RLock must pair with RUnlock, never Unlock (and vice versa);
-//   - structs containing a mutex must not be copied (value parameters,
-//     value assignments) — a copied mutex is an independent lock and
-//     the copy silently stops excluding anyone.
+//   - RLock must pair with RUnlock, never Unlock (and vice versa).
+//
+// Mutex copies are go vet's copylocks check, which the test gate runs
+// over the whole module.
 //
 // The analysis only tracks lock paths whose Lock appears in the
 // function being checked: lock-helper methods that acquire on behalf of
@@ -28,7 +28,7 @@ import (
 func LockBal() *Analyzer {
 	return &Analyzer{
 		Name: "lockbal",
-		Doc:  "Lock/Unlock balanced on every path incl. defer; RLock pairs with RUnlock; no mutex copies",
+		Doc:  "Lock/Unlock balanced on every path incl. defer; RLock pairs with RUnlock",
 		Run:  runLockBal,
 	}
 }
@@ -54,7 +54,6 @@ func runLockBal(p *Pass) {
 	forEachFuncBody(p.Pkg, func(decl *ast.FuncDecl, _ *ast.FuncLit, body *ast.BlockStmt) {
 		checkLockFunc(p, body)
 	})
-	checkMutexCopies(p)
 }
 
 func checkLockFunc(p *Pass, body *ast.BlockStmt) {
@@ -349,95 +348,4 @@ func reportPairingMix(p *Pass, info *types.Info, body *ast.BlockStmt, base, wron
 		p.Reportf(op.pos, "%s released with %s but acquired with %s: use %s", describeLockKey(base), wrongUnlock, lockName, rightUnlock)
 		return false
 	})
-}
-
-// checkMutexCopies flags copies of mutex-containing values: non-pointer
-// parameters and results of mutex-containing struct types, and value
-// assignments whose right-hand side is an existing variable, field or
-// dereference of such a type. (go vet's copylocks covers most of the
-// tree; this keeps fixtures self-contained and catches the same class
-// in packages vet is not run over.)
-func checkMutexCopies(p *Pass) {
-	info := p.Pkg.Info
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.FuncDecl:
-				checkFieldListCopies(p, info, s.Type.Params)
-				checkFieldListCopies(p, info, s.Type.Results)
-			case *ast.FuncLit:
-				checkFieldListCopies(p, info, s.Type.Params)
-				checkFieldListCopies(p, info, s.Type.Results)
-			case *ast.AssignStmt:
-				for i, rhs := range s.Rhs {
-					if i >= len(s.Lhs) {
-						break
-					}
-					switch rhs.(type) {
-					case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr:
-					default:
-						continue
-					}
-					if id, ok := s.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-						continue // discarding, not copying into a usable value
-					}
-					t := info.TypeOf(rhs)
-					if t != nil && containsMutex(t, nil) {
-						p.Reportf(rhs.Pos(), "assignment copies a value containing a sync mutex: the copy is an independent lock that protects nothing")
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-func checkFieldListCopies(p *Pass, info *types.Info, fl *ast.FieldList) {
-	if fl == nil {
-		return
-	}
-	for _, field := range fl.List {
-		t := info.TypeOf(field.Type)
-		if t == nil {
-			continue
-		}
-		if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-			continue
-		}
-		if containsMutex(t, nil) {
-			p.Reportf(field.Pos(), "value passes a struct containing a sync mutex by copy: use a pointer")
-		}
-	}
-}
-
-// containsMutex reports whether a value of type t embeds a sync.Mutex
-// or sync.RWMutex by value (directly or through struct/array nesting).
-func containsMutex(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil {
-		return false
-	}
-	if seen[t] {
-		return false
-	}
-	if seen == nil {
-		seen = map[types.Type]bool{}
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && (obj.Name() == "Mutex" || obj.Name() == "RWMutex") {
-			return true
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsMutex(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsMutex(u.Elem(), seen)
-	}
-	return false
 }

@@ -1,55 +1,34 @@
 // Package atomicmix holds golden fixtures for the atomicmix analyzer:
-// words accessed through sync/atomic in one function and plainly in
-// another.
+// calls to the sync/atomic functions, whose words stay open to plain
+// access.
 package atomicmix
 
 import "sync/atomic"
 
 type hits struct {
-	n    int64
-	racy int64
+	n     int64
+	typed atomic.Int64
 }
 
-// bump is the atomic side: every other access of n must match it.
+// bump and load are the function form: nothing stops another method
+// from reading h.n plainly, racing with them.
 func (h *hits) bump() {
-	atomic.AddInt64(&h.n, 1)
+	atomic.AddInt64(&h.n, 1) // want `atomic.AddInt64 on a plain word`
 }
 
-// read loads the same word plainly: this races with bump and the
-// compiler is free to tear, cache or reorder it.
-func (h *hits) read() int64 {
-	return h.n // want `n is accessed atomically at .* but plainly here`
+func (h *hits) load() int64 {
+	return atomic.LoadInt64(&h.n) // want `atomic.LoadInt64 on a plain word`
 }
 
-// loadOK is the consistent counterpart.
-func (h *hits) loadOK() int64 {
-	return atomic.LoadInt64(&h.n)
+// bumpTyped is the sanctioned shape: a typed atomic has no plain access.
+func (h *hits) bumpTyped() int64 {
+	return h.typed.Add(1)
 }
 
-var flag uint32
+var legacy uint32
 
-func raise() {
-	atomic.StoreUint32(&flag, 1)
-}
-
-// check reads the package-level word plainly while raise stores it
-// atomically from other goroutines.
-func check() bool {
-	return flag == 1 // want `flag is accessed atomically at .* but plainly here`
-}
-
-// reset runs before any goroutine can observe h, so the plain write is
-// safe by construction; the directive records that reasoning.
-func reset(h *hits) *hits {
-	if h == nil {
-		h = &hits{}
-	}
-	//lint:ignore atomicmix constructor path: no goroutine can hold h before it is returned
-	h.racy = 0
-	return h
-}
-
-// bumpRacy is the atomic side that makes racy tracked at all.
-func bumpRacy(h *hits) {
-	atomic.AddInt64(&h.racy, 1)
+// raiseLegacy keeps the function form behind a reasoned directive.
+func raiseLegacy() {
+	//lint:ignore atomicmix the word is only ever touched through sync/atomic functions, all in this file
+	atomic.StoreUint32(&legacy, 1)
 }

@@ -1,6 +1,6 @@
 // Package lockbal holds golden fixtures for the lockbal analyzer:
-// unbalanced lock paths, double unlocks, self-deadlocks, RLock/Unlock
-// pairing mistakes and mutex copies.
+// unbalanced lock paths, double unlocks, self-deadlocks and RLock/Unlock
+// pairing mistakes.
 package lockbal
 
 import (
@@ -58,18 +58,6 @@ func (g *gauge) mixedPairing() float64 {
 	v := g.v
 	g.mu.Unlock() // want `lock g.mu released with Unlock but acquired with RLock: use RUnlock`
 	return v
-}
-
-// snapshot copies the whole struct — and with it the mutex, which then
-// excludes nobody.
-func snapshot(c counter) int { // want `value passes a struct containing a sync mutex by copy: use a pointer`
-	return c.n
-}
-
-// copyAssign dereference-copies a mutex-holding struct into a local.
-func copyAssign(c *counter) {
-	local := *c // want `assignment copies a value containing a sync mutex`
-	_ = local
 }
 
 // deferOK is the canonical clean shape: the deferred unlock covers

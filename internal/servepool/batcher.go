@@ -3,6 +3,7 @@ package servepool
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -22,9 +23,8 @@ type FragmentQuery struct {
 	Opts    core.NFragmentsOptions
 }
 
-// BatchPredictor is the optional batched extension of Predictor. When the
-// engine's predictor implements it and EngineOptions enables batching,
-// concurrent Recommend calls coalesce into batched model passes. Each
+// BatchPredictor is the batched form of Predictor, and the form the
+// engine executes: every request half runs as an item of a batch. Each
 // out[i] must be exactly what the corresponding single-item call would
 // have produced — the engine's batching is invisible in response bytes,
 // and the default model path guarantees it bit-for-bit (see
@@ -33,6 +33,35 @@ type BatchPredictor interface {
 	Predictor
 	TemplatesBatch(ctx context.Context, qs []TemplateQuery) ([][]string, error)
 	FragmentsBatch(ctx context.Context, qs []FragmentQuery) ([]map[sqlast.FragmentKind][]string, error)
+}
+
+// onePredictor lifts a plain Predictor into batch form, one single-item
+// call per query. The engine never coalesces for it, so every batch it
+// sees holds one item and runs under that item's own context.
+type onePredictor struct{ Predictor }
+
+func (p onePredictor) TemplatesBatch(ctx context.Context, qs []TemplateQuery) ([][]string, error) {
+	out := make([][]string, len(qs))
+	for i, q := range qs {
+		v, err := p.Templates(ctx, q.PrevToks, q.CurToks, q.N)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+func (p onePredictor) FragmentsBatch(ctx context.Context, qs []FragmentQuery) ([]map[sqlast.FragmentKind][]string, error) {
+	out := make([]map[sqlast.FragmentKind][]string, len(qs))
+	for i, q := range qs {
+		v, err := p.Fragments(ctx, q.CurToks, q.N, q.Opts)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
 }
 
 // TemplatesBatch implements BatchPredictor on the default model path via
@@ -85,7 +114,8 @@ type batchItem struct {
 // batcher coalesces concurrently-submitted items into batches bounded by
 // max items and a window deadline: the first item of a forming batch arms
 // the window timer; reaching max flushes immediately (size hit), the
-// timer expiring flushes whatever has gathered (window hit). Flushed
+// timer expiring flushes whatever has gathered (window hit). With max 1
+// every item flushes on arrival and the timer is never armed. Flushed
 // batches run on the engine's worker pool. The clock and timer are
 // injected so tests drive the window deterministically.
 type batcher struct {
@@ -94,7 +124,7 @@ type batcher struct {
 	now    func() time.Time
 	after  func(time.Duration) <-chan time.Time
 	pool   *Pool
-	exec   func([]*batchItem)
+	exec   func(context.Context, []*batchItem)
 
 	in   chan *batchItem
 	stop chan struct{}
@@ -113,7 +143,7 @@ type batcher struct {
 	queueWaitNs uint64
 }
 
-func newBatcher(max int, window time.Duration, now func() time.Time, after func(time.Duration) <-chan time.Time, pool *Pool, exec func([]*batchItem)) *batcher {
+func newBatcher(max int, window time.Duration, now func() time.Time, after func(time.Duration) <-chan time.Time, pool *Pool, exec func(context.Context, []*batchItem)) *batcher {
 	b := &batcher{
 		max:      max,
 		window:   window,
@@ -209,8 +239,8 @@ func (b *batcher) run() {
 // launch drops items whose context is already cancelled — removal cannot
 // change the surviving items' outputs, since every batched kernel is
 // segment-local — and hands the rest to the pool. Pool submission errors
-// (shutdown) fail the whole batch; the per-item waiters map that to the
-// usual ErrClosed handling.
+// (shutdown, or a one-item batch's caller giving up) fail the batch; the
+// per-item waiters map that to the usual ErrClosed or ctx handling.
 func (b *batcher) launch(batch []*batchItem, bySize bool) {
 	live := batch[:0]
 	dropped := 0
@@ -243,13 +273,28 @@ func (b *batcher) launch(batch []*batchItem, bySize bool) {
 	if len(live) == 0 {
 		return
 	}
-	go func() {
-		// The batch runs under its own background context: individual
-		// submitters' deadlines must not abort their siblings' work.
-		// Submitters that give up stop waiting (same contract as
-		// Pool.Do: fn may still run after the caller's ctx expires).
+	// A one-item batch runs under its item's context, as a per-request
+	// task: the pool skips it if the caller gave up while it queued, and
+	// the predictor sees the request's deadline and values. A shared
+	// batch runs detached, so one submitter's deadline cannot abort its
+	// siblings' work; submitters that give up stop waiting (Pool.Do's
+	// contract: fn may still run after the caller's ctx expires).
+	ctx := live[0].ctx
+	if len(live) > 1 {
 		//lint:ignore ctxflow deliberate detachment, see comment above: the shared batch must outlive any single submitter's deadline
-		if err := b.pool.Do(context.Background(), func() { b.exec(live) }); err != nil {
+		ctx = context.Background()
+	}
+	// Do can return ctx.Err() after a worker has started the task, so the
+	// task and the failure path race to claim the items: only the winner
+	// completes them, and each done channel closes once.
+	var claimed atomic.Bool
+	go func() {
+		err := b.pool.Do(ctx, func() {
+			if claimed.CompareAndSwap(false, true) {
+				b.exec(ctx, live)
+			}
+		})
+		if err != nil && claimed.CompareAndSwap(false, true) {
 			for _, it := range live {
 				it.err = err
 				close(it.done)
@@ -293,9 +338,11 @@ func (b *batcher) stats() BatcherHalfStats {
 // BatcherStats snapshots both halves of the engine's micro-batcher.
 type BatcherStats struct {
 	// Enabled reports whether coalescing is active (batch size >= 2 and
-	// a BatchPredictor model path).
+	// a BatchPredictor model path). The counters also count the one-item
+	// batches of an engine that does not coalesce.
 	Enabled bool `json:"enabled"`
-	// MaxSize and WindowNs echo the configured bounds.
+	// MaxSize and WindowNs echo the configured bounds (zero unless
+	// Enabled).
 	MaxSize   int              `json:"max_size,omitempty"`
 	WindowNs  time.Duration    `json:"window_ns,omitempty"`
 	Templates BatcherHalfStats `json:"templates"`

@@ -3,13 +3,18 @@ package servepool
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/reccache"
+	"repro/internal/sqlast"
 	"repro/internal/testutil"
 )
 
@@ -21,7 +26,7 @@ func testBatcher(t *testing.T, max int, window time.Duration, after func(time.Du
 	if after == nil {
 		after = time.After
 	}
-	exec := func(items []*batchItem) {
+	exec := func(_ context.Context, items []*batchItem) {
 		for _, it := range items {
 			it.tmpl = []string{it.key}
 			close(it.done)
@@ -298,18 +303,232 @@ func TestBatchedEngineClosed(t *testing.T) {
 	}
 }
 
-// TestBatchingDisabledByDefault pins the zero-value contract: without
-// BatchSize the engine keeps the per-request path and reports batching
-// off.
-func TestBatchingDisabledByDefault(t *testing.T) {
+// TestDefaultEngineDoesNotCoalesce pins the zero-value contract: without
+// BatchSize every request half is a one-item batch — no coalescing wait —
+// the engine reports coalescing off, and its answers are those of the
+// direct core API calls (TestRecommendMatchesSequentialPath).
+func TestDefaultEngineDoesNotCoalesce(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	if testing.Short() {
 		t.Skip("training in -short mode")
 	}
 	rec := engineRecommender(t)
-	eng := NewEngine(rec, nil, 1)
+	eng := NewEngine(rec, nil, 2)
 	defer eng.Close()
-	if eng.batT != nil || eng.BatcherStats().Enabled {
-		t.Fatal("batcher active on zero-value options")
+
+	sql := "SELECT ra, dec FROM PhotoObj WHERE ra > 180.0"
+	wantTmpl, err := rec.NextTemplates(sql, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFrag, err := rec.NextFragments(sql, 3, core.DefaultNFragmentsOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got, err := eng.Recommend(context.Background(), testRequest(sql))
+			if err == nil && (!reflect.DeepEqual(got.Templates, wantTmpl) || !reflect.DeepEqual(got.Fragments, wantFrag)) {
+				err = fmt.Errorf("got %+v, want templates %v fragments %v", got, wantTmpl, wantFrag)
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	st := eng.BatcherStats()
+	if st.Enabled || st.MaxSize != 0 || st.WindowNs != 0 {
+		t.Fatalf("coalescing reported on for zero-value options: %+v", st)
+	}
+	for _, h := range []BatcherHalfStats{st.Templates, st.Fragments} {
+		if h.Batches != uint64(len(errs)) || h.Items != h.Batches || h.SizeHits != h.Batches || !reflect.DeepEqual(h.SizeHist, []uint64{h.Batches}) {
+			t.Fatalf("half stats = %+v, want %d one-item batches", h, len(errs))
+		}
+	}
+}
+
+// ctxProbeKey tags a request context so a predictor can prove it
+// received the caller's context and not a detached one.
+type ctxProbeKey struct{}
+
+// ctxProbePredictor is a plain Predictor that records whether each call
+// saw the probe value in its context.
+type ctxProbePredictor struct {
+	fakePredictor
+	missing atomic.Int64
+}
+
+func (p *ctxProbePredictor) Templates(ctx context.Context, prevToks, curToks []string, n int) ([]string, error) {
+	if ctx.Value(ctxProbeKey{}) == nil {
+		p.missing.Add(1)
+	}
+	return p.fakePredictor.Templates(ctx, prevToks, curToks, n)
+}
+
+func (p *ctxProbePredictor) Fragments(ctx context.Context, curToks []string, n int, opts core.NFragmentsOptions) (map[sqlast.FragmentKind][]string, error) {
+	if ctx.Value(ctxProbeKey{}) == nil {
+		p.missing.Add(1)
+	}
+	return p.fakePredictor.Fragments(ctx, curToks, n, opts)
+}
+
+// TestPlainPredictorNeverCoalesces: a predictor without the batch methods
+// runs one item per batch even when BatchSize asks for more, and every
+// call carries the request's own context.
+func TestPlainPredictorNeverCoalesces(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	pred := &ctxProbePredictor{}
+	eng := NewEngineWithOptions(nil, nil, EngineOptions{
+		Workers:     2,
+		Predictor:   pred,
+		BatchSize:   4,
+		BatchWindow: time.Hour, // a coalescing engine would stall here
+	})
+	defer eng.Close()
+	ctx := context.WithValue(context.Background(), ctxProbeKey{}, true)
+	const n = 6
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := eng.Recommend(ctx, testRequest(fmt.Sprintf("SELECT c%d FROM t", i))); err != nil {
+				t.Errorf("request %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if got := pred.calls.Load(); got != 2*n {
+		t.Fatalf("predictor calls = %d, want %d", got, 2*n)
+	}
+	if m := pred.missing.Load(); m != 0 {
+		t.Fatalf("%d predictor calls lost the request context", m)
+	}
+	st := eng.BatcherStats()
+	if st.Enabled {
+		t.Fatalf("coalescing reported on for a plain predictor: %+v", st)
+	}
+	for _, h := range []BatcherHalfStats{st.Templates, st.Fragments} {
+		if h.Batches != n || !reflect.DeepEqual(h.SizeHist, []uint64{n}) {
+			t.Fatalf("half stats = %+v, want %d one-item batches", h, n)
+		}
+	}
+}
+
+// countingPredictor counts calls per query.
+type countingPredictor struct {
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func (p *countingPredictor) count(curToks []string) {
+	p.mu.Lock()
+	p.calls[strings.Join(curToks, " ")]++
+	p.mu.Unlock()
+}
+
+func (p *countingPredictor) Templates(_ context.Context, _, curToks []string, n int) ([]string, error) {
+	p.count(curToks)
+	return fakeAnswerTemplates(n), nil
+}
+
+func (p *countingPredictor) Fragments(_ context.Context, curToks []string, n int, _ core.NFragmentsOptions) (map[sqlast.FragmentKind][]string, error) {
+	p.count(curToks)
+	return fakeAnswerFragments(n), nil
+}
+
+// TestOneItemBatchContextRule pins how a one-item batch treats its
+// request's context: with the only worker held busy, a request whose
+// soft budget expires while both its halves wait in the queue ends in
+// its ladder outcome and never reaches the predictor — the pool skips
+// the tasks its caller gave up on.
+func TestOneItemBatchContextRule(t *testing.T) {
+	for _, withFallback := range []bool{true, false} {
+		t.Run(fmt.Sprintf("fallback=%v", withFallback), func(t *testing.T) {
+			testutil.VerifyNoLeaks(t)
+			pred := &countingPredictor{calls: map[string]int{}}
+			opts := EngineOptions{Workers: 1, Queue: 4, Predictor: pred, SoftTimeout: 20 * time.Millisecond}
+			if withFallback {
+				opts.Fallback = testFallback()
+			}
+			eng := NewEngineWithOptions(nil, nil, opts)
+			started, gate := make(chan struct{}), make(chan struct{})
+			held := make(chan error, 1)
+			go func() {
+				held <- eng.pool.Do(context.Background(), func() {
+					close(started)
+					<-gate
+				})
+			}()
+			<-started
+
+			res, err := eng.Recommend(context.Background(), testRequest("SELECT b FROM good"))
+			close(gate)
+			if herr := <-held; herr != nil {
+				t.Fatalf("holding task: %v", herr)
+			}
+			eng.Close() // the worker skips (or the batcher dropped) both halves
+			if withFallback {
+				if err != nil || res == nil || !res.Degraded {
+					t.Fatalf("res=%+v err=%v, want a degraded answer", res, err)
+				}
+			} else if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want DeadlineExceeded", err)
+			}
+			if n := pred.calls["SELECT b FROM good"]; n != 0 {
+				t.Fatalf("the request reached the predictor %d times after its budget expired", n)
+			}
+			if st := eng.OverloadStats(); st.SoftTimeouts != 1 {
+				t.Fatalf("soft timeouts = %d, want 1", st.SoftTimeouts)
+			}
+			ps, bs := eng.PoolStats(), eng.BatcherStats()
+			if dropped := bs.Templates.CancelledItems + bs.Fragments.CancelledItems; ps.Executed != 1 || ps.Skipped+dropped != 2 {
+				t.Fatalf("pool stats = %+v, dropped %d: want only the holding task executed", ps, dropped)
+			}
+		})
+	}
+}
+
+// TestBatcherOneItemCancelledWhileRunning: Pool.Do returns the item's
+// context error when that context ends while the task runs. The batch
+// must then be completed by the task alone — failing it from the launch
+// side too would close the item's done channel twice.
+func TestBatcherOneItemCancelledWhileRunning(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	pool := NewPoolQueue(1, 1)
+	defer pool.Close()
+	entered, gate := make(chan struct{}), make(chan struct{})
+	exec := func(_ context.Context, items []*batchItem) {
+		close(entered)
+		<-gate
+		for _, it := range items {
+			it.tmpl = []string{it.key}
+			close(it.done)
+		}
+	}
+	b := newBatcher(1, 0, time.Now, time.After, pool, exec)
+	defer b.close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	it := testItem(ctx, "k")
+	if err := b.enqueue(it); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	cancel()
+	// Give Pool.Do time to observe the cancellation before the task ends.
+	time.Sleep(5 * time.Millisecond)
+	close(gate)
+	<-it.done
+	if it.err != nil || len(it.tmpl) != 1 {
+		t.Fatalf("item: tmpl=%v err=%v, want the task's result", it.tmpl, it.err)
 	}
 }

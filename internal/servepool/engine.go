@@ -110,14 +110,15 @@ type EngineOptions struct {
 	// hard deadline, leaving room to degrade instead of timing out; 0
 	// disables. Batch items inherit it individually (per-item budgets).
 	SoftTimeout time.Duration
-	// BatchSize enables micro-batched inference when >= 2 and the
-	// predictor implements BatchPredictor: concurrent requests coalesce
-	// into batched model passes of at most this many items. 0 or 1
-	// keeps the per-request path — the zero value changes nothing.
+	// BatchSize caps the items of one model pass. Every request half
+	// runs as a batch item; when BatchSize >= 2 and the predictor
+	// implements BatchPredictor, concurrent requests coalesce into
+	// batches of up to this many items. Otherwise (0 or 1, or a plain
+	// Predictor) each item flushes alone on arrival: no coalescing wait.
 	BatchSize int
 	// BatchWindow bounds how long the first request of a forming batch
 	// waits for company before the batch flushes anyway; <= 0 defaults
-	// to 500µs. Ignored unless batching is enabled.
+	// to 500µs. Ignored unless coalescing is on.
 	BatchWindow time.Duration
 	// Now and After inject the batcher's clock and timer for tests; nil
 	// uses time.Now and time.After.
@@ -131,10 +132,11 @@ type EngineOptions struct {
 const defaultBatchWindow = 500 * time.Microsecond
 
 // Engine executes recommendations for one trained model: the template and
-// fragment predictions of a request run as two independent tasks on the
-// worker pool (they share no state — see core.Recommender), and results
-// are memoized in an optional inference cache keyed on the normalized
-// token sequence, context, N and search options.
+// fragment predictions of a request are two independent batch items, one
+// per half's batcher, executed on the worker pool (they share no state —
+// see core.Recommender), and results are memoized in an optional
+// inference cache keyed on the normalized token sequence, context, N and
+// search options.
 //
 // With EngineOptions the engine also climbs the overload ladder: an
 // admission controller sheds requests the pool cannot finish in budget, a
@@ -145,14 +147,14 @@ type Engine struct {
 	rec   *core.Recommender
 	cache *reccache.Cache // nil disables caching
 	pool  *Pool
-	pred  Predictor
+	pred  BatchPredictor
 	adm   *overload.Admission
 	brk   *overload.Breaker
 	fb    *Fallback
 	soft  time.Duration
 
-	// Micro-batching (nil/zero when disabled): one batcher per
-	// prediction half, sharing the worker pool for execution.
+	// One batcher per prediction half, sharing the worker pool for
+	// execution. batchSize is 1 and batchWindow 0 unless coalescing is on.
 	batT        *batcher
 	batF        *batcher
 	batchSize   int
@@ -180,83 +182,81 @@ func NewEngineWithOptions(rec *core.Recommender, cache *reccache.Cache, opts Eng
 	if opts.Admission != nil {
 		opts.Admission.Bind(pool.QueueDepth, pool.QueueCap())
 	}
+	bp, batched := pred.(BatchPredictor)
+	if !batched {
+		bp = onePredictor{pred}
+	}
 	e := &Engine{
-		rec:   rec,
-		cache: cache,
-		pool:  pool,
-		pred:  pred,
-		adm:   opts.Admission,
-		brk:   opts.Breaker,
-		fb:    opts.Fallback,
-		soft:  opts.SoftTimeout,
+		rec:       rec,
+		cache:     cache,
+		pool:      pool,
+		pred:      bp,
+		adm:       opts.Admission,
+		brk:       opts.Breaker,
+		fb:        opts.Fallback,
+		soft:      opts.SoftTimeout,
+		batchSize: 1,
 	}
-	if bp, ok := pred.(BatchPredictor); ok && opts.BatchSize >= 2 {
-		window := opts.BatchWindow
-		if window <= 0 {
-			window = defaultBatchWindow
-		}
-		now := opts.Now
-		if now == nil {
-			now = time.Now
-		}
-		after := opts.After
-		if after == nil {
-			after = time.After
-		}
+	if batched && opts.BatchSize >= 2 {
 		e.batchSize = opts.BatchSize
-		e.batchWindow = window
-		e.batT = newBatcher(opts.BatchSize, window, now, after, pool, e.execTemplates(bp))
-		e.batF = newBatcher(opts.BatchSize, window, now, after, pool, e.execFragments(bp))
+		e.batchWindow = opts.BatchWindow
+		if e.batchWindow <= 0 {
+			e.batchWindow = defaultBatchWindow
+		}
 	}
+	now := opts.Now
+	if now == nil {
+		now = time.Now
+	}
+	after := opts.After
+	if after == nil {
+		after = time.After
+	}
+	e.batT = newBatcher(e.batchSize, e.batchWindow, now, after, pool, e.execTemplates)
+	e.batF = newBatcher(e.batchSize, e.batchWindow, now, after, pool, e.execFragments)
 	return e
 }
 
-// execTemplates builds the template batcher's execution step: one batched
+// execTemplates is the template batcher's execution step: one batched
 // predictor call, then per-item cache fill and completion. A batch-wide
 // error (or recovered panic) fails every item — each waiter's Recommend
 // ladder then triages it exactly as a sequential failure.
-func (e *Engine) execTemplates(bp BatchPredictor) func([]*batchItem) {
-	return func(items []*batchItem) {
-		qs := make([]TemplateQuery, len(items))
-		for i, it := range items {
-			qs[i] = TemplateQuery{PrevToks: it.prevToks, CurToks: it.curToks, N: it.n}
+func (e *Engine) execTemplates(ctx context.Context, items []*batchItem) {
+	qs := make([]TemplateQuery, len(items))
+	for i, it := range items {
+		qs[i] = TemplateQuery{PrevToks: it.prevToks, CurToks: it.curToks, N: it.n}
+	}
+	outs, err := safePredict(func() ([][]string, error) {
+		return e.pred.TemplatesBatch(ctx, qs)
+	})
+	for i, it := range items {
+		if err != nil {
+			it.err = err
+		} else {
+			it.tmpl = outs[i]
+			e.cache.Put(it.key, outs[i])
 		}
-		outs, err := safePredict(func() ([][]string, error) {
-			//lint:ignore ctxflow the batch serves many waiters: one submitter's deadline must not cancel its siblings' work
-			return bp.TemplatesBatch(context.Background(), qs)
-		})
-		for i, it := range items {
-			if err != nil {
-				it.err = err
-			} else {
-				it.tmpl = outs[i]
-				e.cache.Put(it.key, outs[i])
-			}
-			close(it.done)
-		}
+		close(it.done)
 	}
 }
 
 // execFragments is execTemplates' fragment-half twin.
-func (e *Engine) execFragments(bp BatchPredictor) func([]*batchItem) {
-	return func(items []*batchItem) {
-		qs := make([]FragmentQuery, len(items))
-		for i, it := range items {
-			qs[i] = FragmentQuery{CurToks: it.curToks, N: it.n, Opts: it.opts}
+func (e *Engine) execFragments(ctx context.Context, items []*batchItem) {
+	qs := make([]FragmentQuery, len(items))
+	for i, it := range items {
+		qs[i] = FragmentQuery{CurToks: it.curToks, N: it.n, Opts: it.opts}
+	}
+	outs, err := safePredict(func() ([]map[sqlast.FragmentKind][]string, error) {
+		return e.pred.FragmentsBatch(ctx, qs)
+	})
+	for i, it := range items {
+		if err != nil {
+			it.err = err
+		} else {
+			it.frags = outs[i]
+			e.cache.Put(it.key, outs[i])
 		}
-		outs, err := safePredict(func() ([]map[sqlast.FragmentKind][]string, error) {
-			//lint:ignore ctxflow the batch serves many waiters: one submitter's deadline must not cancel its siblings' work
-			return bp.FragmentsBatch(context.Background(), qs)
-		})
-		for i, it := range items {
-			if err != nil {
-				it.err = err
-			} else {
-				it.frags = outs[i]
-				e.cache.Put(it.key, outs[i])
-			}
-			close(it.done)
-		}
+		close(it.done)
 	}
 }
 
@@ -269,28 +269,21 @@ func (e *Engine) CacheStats() reccache.Stats { return e.cache.Stats() }
 // PoolStats snapshots the worker pool counters.
 func (e *Engine) PoolStats() PoolStats { return e.pool.Stats() }
 
-// BatcherStats snapshots the micro-batcher counters (Enabled false and
-// zero counters when batching is off).
+// BatcherStats snapshots the micro-batcher counters. Enabled, MaxSize and
+// WindowNs are set only when coalescing is on; the counters always run.
 func (e *Engine) BatcherStats() BatcherStats {
-	if e.batT == nil {
-		return BatcherStats{}
+	st := BatcherStats{Templates: e.batT.stats(), Fragments: e.batF.stats()}
+	if e.batchSize >= 2 {
+		st.Enabled, st.MaxSize, st.WindowNs = true, e.batchSize, e.batchWindow
 	}
-	return BatcherStats{
-		Enabled:   true,
-		MaxSize:   e.batchSize,
-		WindowNs:  e.batchWindow,
-		Templates: e.batT.stats(),
-		Fragments: e.batF.stats(),
-	}
+	return st
 }
 
 // Close drains and stops the worker pool. Batchers close first so their
 // final flush can still reach the pool.
 func (e *Engine) Close() {
-	if e.batT != nil {
-		e.batT.close()
-		e.batF.close()
-	}
+	e.batT.close()
+	e.batF.close()
 	e.pool.Close()
 }
 
@@ -443,51 +436,15 @@ func (e *Engine) shedAnswer(pr prepared, n int, rej error) (*Result, error) {
 	return nil, rej
 }
 
-// modelPath runs the two prediction halves in parallel on the pool,
-// coalescing them into micro-batches when batching is enabled.
-func (e *Engine) modelPath(ctx context.Context, pr prepared, req Request) (*Result, error) {
-	if e.batT != nil {
-		return e.modelPathBatched(ctx, pr, req)
-	}
-	res := &Result{}
-	var tmplErr, fragErr error
-	errc := make(chan error, 2)
-	go func() {
-		errc <- e.pool.Do(ctx, func() {
-			res.Templates, tmplErr = e.templates(ctx, pr.tmplKey, pr.prevToks, pr.curToks, req.N)
-		})
-	}()
-	go func() {
-		errc <- e.pool.Do(ctx, func() {
-			res.Fragments, fragErr = e.fragments(ctx, pr.fragKey, pr.curToks, req.N, req.Opts)
-		})
-	}()
-	for i := 0; i < 2; i++ {
-		if err := <-errc; err != nil {
-			// The sibling task may still be writing into res; return
-			// without touching it further. res escapes only on success.
-			return nil, err
-		}
-	}
-	// Both pool tasks completed (happens-before via their done channels),
-	// so the error slots are settled.
-	if tmplErr != nil {
-		return nil, tmplErr
-	}
-	if fragErr != nil {
-		return nil, fragErr
-	}
-	return res, nil
-}
-
-// modelPathBatched is the coalescing model path: each half probes the
-// cache, then a miss joins the matching batcher's forming batch. Both
+// modelPath runs the two prediction halves in parallel: each half probes
+// the cache, then a miss joins the matching batcher's forming batch. Both
 // halves enqueue before either is waited on, so one request's two halves
 // can ride the same pair of batches. Waiting mirrors Pool.Do's contract —
 // ctx expiry returns ctx.Err() while the batch may still run (and still
-// fills the cache), so the Recommend ladder's soft-budget degrade and
-// abandonment semantics are unchanged from the sequential path.
-func (e *Engine) modelPathBatched(ctx context.Context, pr prepared, req Request) (*Result, error) {
+// fills the cache), which is what the Recommend ladder's soft-budget
+// degrade and abandonment triage expect; a model failure is reported
+// only once both halves have finished.
+func (e *Engine) modelPath(ctx context.Context, pr prepared, req Request) (*Result, error) {
 	res := &Result{}
 	var itT, itF *batchItem
 	if v, ok := e.cache.Get(pr.tmplKey); ok {
@@ -522,27 +479,29 @@ func (e *Engine) modelPathBatched(ctx context.Context, pr prepared, req Request)
 			return nil, err
 		}
 	}
-	if itT != nil {
+	// Both halves settle before either error is reported, so a failed
+	// request leaves no model work of its own behind.
+	for _, it := range []*batchItem{itT, itF} {
+		if it == nil {
+			continue
+		}
 		select {
-		case <-itT.done:
-			if itT.err != nil {
-				return nil, itT.err
-			}
-			res.Templates = itT.tmpl
+		case <-it.done:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
-	if itF != nil {
-		select {
-		case <-itF.done:
-			if itF.err != nil {
-				return nil, itF.err
-			}
-			res.Fragments = itF.frags
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	if itT != nil {
+		if itT.err != nil {
+			return nil, itT.err
 		}
+		res.Templates = itT.tmpl
+	}
+	if itF != nil {
+		if itF.err != nil {
+			return nil, itF.err
+		}
+		res.Fragments = itF.frags
 	}
 	return res, nil
 }
@@ -556,38 +515,6 @@ func safePredict[T any](f func() (T, error)) (v T, err error) {
 		}
 	}()
 	return f()
-}
-
-// templates predicts (or recalls) the top-N next-query templates.
-// Failures are not cached.
-func (e *Engine) templates(ctx context.Context, key string, prevToks, curToks []string, n int) ([]string, error) {
-	if v, ok := e.cache.Get(key); ok {
-		return v.([]string), nil
-	}
-	v, err := safePredict(func() ([]string, error) {
-		return e.pred.Templates(ctx, prevToks, curToks, n)
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.cache.Put(key, v)
-	return v, nil
-}
-
-// fragments predicts (or recalls) the top-N fragments per kind. Failures
-// are not cached.
-func (e *Engine) fragments(ctx context.Context, key string, curToks []string, n int, opts core.NFragmentsOptions) (map[sqlast.FragmentKind][]string, error) {
-	if v, ok := e.cache.Get(key); ok {
-		return v.(map[sqlast.FragmentKind][]string), nil
-	}
-	v, err := safePredict(func() (map[sqlast.FragmentKind][]string, error) {
-		return e.pred.Fragments(ctx, curToks, n, opts)
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.cache.Put(key, v)
-	return v, nil
 }
 
 // OverloadStats is a snapshot of the engine's overload-ladder counters.
@@ -635,17 +562,16 @@ type BatchItem struct {
 // corresponding item and never poison their batch siblings; a cancelled
 // context fails the remainder. Each item passes the overload ladder
 // independently and gets its own soft budget, so one slow item degrades
-// (or errors) alone. With micro-batching enabled the concurrent items
-// coalesce through the same batchers as independent Recommend callers —
-// explicit batches and coalesced traffic share one model path, and an
-// item whose context dies while its batch is forming is dropped at flush
-// without touching its siblings.
+// (or errors) alone. The items go through the same batchers as
+// independent Recommend callers — explicit batches and coalesced traffic
+// share one model path, and an item whose context dies while its batch
+// is forming is dropped at flush without touching its siblings.
 //
-// Without micro-batching each item queues its two halves as two pool
-// tasks, so a batch started all at once would fill the queue that
-// admission reads and shed its own later items. The batch therefore keeps
-// at most batchWidth items in flight; the rest wait for a sibling to
-// finish, their soft budget not yet running.
+// Without coalescing each item's two halves are two one-item batches,
+// two pool tasks, so a batch started all at once would fill the queue
+// that admission reads and shed its own later items. The batch therefore
+// keeps at most batchWidth items in flight; the rest wait for a sibling
+// to finish, their soft budget not yet running.
 func (e *Engine) RecommendBatch(ctx context.Context, reqs []Request) []BatchItem {
 	out := make([]BatchItem, len(reqs))
 	done := make(chan int, len(reqs))
@@ -674,14 +600,14 @@ func (e *Engine) RecommendBatch(ctx context.Context, reqs []Request) []BatchItem
 }
 
 // batchWidth bounds how many of an n-item RecommendBatch run at once.
-// Unbatched, it is half the smaller of the pool's workers and queue,
-// rounded up: when an item passes admission its in-flight siblings hold
-// at most 2(width-1) < min(workers, queue) pool tasks, so even if none of
-// them has reached a worker yet they cannot fill the queue. Batched
-// items share flushed pool tasks and coalesce better together, so they
-// are not bounded.
+// Without coalescing, it is half the smaller of the pool's workers and
+// queue, rounded up: when an item passes admission its in-flight siblings
+// hold at most 2(width-1) < min(workers, queue) pool tasks, so even if
+// none of them has reached a worker yet they cannot fill the queue.
+// Coalesced items share flushed pool tasks and coalesce better together,
+// so they are not bounded.
 func (e *Engine) batchWidth(n int) int {
-	if e.batT != nil {
+	if e.batchSize >= 2 {
 		return max(n, 1)
 	}
 	return (min(e.pool.Workers(), e.pool.QueueCap()) + 1) / 2

@@ -2,7 +2,9 @@
 // plus an Engine that runs the two independent halves of a recommendation
 // (template classification and fragment search) in parallel, memoized
 // through an inference cache, and fans batches of requests across the
-// pool.
+// pool. Every half runs as an item of a micro-batch on one model path;
+// with coalescing off (the default) each batch holds one item and runs
+// under its request's own context.
 //
 // Model inference is read-only — the forward pass, beam search and
 // classifier head only read parameters — so any number of predictions can
@@ -93,8 +95,11 @@ func (p *Pool) worker() {
 			t.done <- false
 			continue
 		}
-		t.fn()
+		// Counted before fn runs: fn may itself signal completion (a
+		// batch closes its items' done channels), and a caller that
+		// reads Stats after that signal must see this task.
 		p.executed.Add(1)
+		t.fn()
 		t.done <- true
 	}
 }

@@ -119,14 +119,14 @@ type Config struct {
 	// Timeout, leaving room to answer degraded instead of 504. Batch
 	// items get their own soft budget each. 0 disables.
 	SoftTimeout time.Duration
-	// BatchSize enables micro-batched inference when >= 2: concurrent
+	// BatchSize caps the items of one model pass. When >= 2, concurrent
 	// requests (and /v1/recommend/batch items) coalesce into batched
-	// model passes of at most this many items, bit-identical to the
-	// per-request path. 0 keeps single-request inference.
+	// model passes of at most this many items, bit-identical to one-item
+	// passes. 0 or 1 means no coalescing wait.
 	BatchSize int
 	// BatchWindow bounds how long the first request of a forming batch
 	// waits for company; <= 0 uses the engine default (500µs). Ignored
-	// unless BatchSize enables batching.
+	// unless BatchSize enables coalescing.
 	BatchWindow time.Duration
 	// Rate and Burst configure the per-client token-bucket limiter
 	// (requests/second and bucket size, keyed by X-Client-ID or remote

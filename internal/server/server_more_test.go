@@ -340,8 +340,10 @@ func TestHealthzServingStats(t *testing.T) {
 	if h.Cache.Hits < 2 || h.Cache.Misses < 2 || h.Cache.Entries < 2 {
 		t.Errorf("cache stats %+v", h.Cache)
 	}
-	if h.Pool.Workers < 1 || h.Pool.Executed < 4 {
-		t.Errorf("pool stats %+v", h.Pool)
+	// The first request runs its two model halves on the pool; the
+	// cached repeat answers before reaching it.
+	if h.Pool.Workers < 1 || h.Pool.Executed != 2 {
+		t.Errorf("pool stats %+v, want 2 executed", h.Pool)
 	}
 }
 
